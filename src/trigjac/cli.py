@@ -345,15 +345,17 @@ def _parse_char(text: str, g: int) -> ThetaChar:
         raise ValidationError(f"cannot parse characteristic {text!r}") from exc
     if len(top) != g or len(bottom) != g:
         raise ValidationError(f"characteristic needs {g} entries per row")
-    return ThetaChar(top=top, bottom=bottom)
+    char = ThetaChar(top=top, bottom=bottom)
+    if not char.is_half_integer():
+        raise ValidationError(f"characteristic {text!r} is not half-integer")
+    return char
 
 
 def cmd_theta(args, config: RunConfig) -> tuple[dict, int]:
     curve = _make_curve(args, config)
-    engine = PeriodEngine(curve, config)
-    data = engine.compute()
     g = curve.genus
     char = _parse_char(args.char, g) if args.char else None
+    data = PeriodEngine(curve, config).compute()
     with mp.workdps(config.working_dps):
         if args.z:
             zs = [mp.mpc(complex(t.replace("i", "j"))) for t in args.z.split(",")]
@@ -566,10 +568,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _make_config(args)
     t0 = time.time()
     try:
-        report, code = args.func(args, config)
+        report, code = args.func(args, _make_config(args))
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

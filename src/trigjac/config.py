@@ -14,7 +14,9 @@ precision escalation instead of a silent decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.precision < 20:
-            raise ValueError("precision must be at least 20 decimal digits")
+            raise ValidationError("precision must be at least 20 decimal digits")
 
     @property
     def working_dps(self) -> int:

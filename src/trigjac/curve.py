@@ -203,14 +203,6 @@ class TrigonalCurve:
             rows = self.basis_RB(max_w).rows
         return [self.monomial(*mon) for _, mon in rows[:count]]
 
-    def rb_weights(self, count: int) -> list[int]:
-        max_w = self.wt_w + self.wt_y + 3 * count + 3
-        rows = self.basis_RB(max_w).rows
-        while len(rows) < count:
-            max_w *= 2
-            rows = self.basis_RB(max_w).rows
-        return [wt for wt, _ in rows[:count]]
-
     def holomorphic_form_codes(self) -> list[tuple[int, str]]:
         """The g holomorphic differentials f_i dx/(w y) as (a, kind) codes.
 

@@ -1,13 +1,21 @@
 """Period matrices and Abel maps for the trigonal family.
 
-All integration happens in the x-plane.  The cover is restored analytically:
-w is continued along each path as the cube root of A*B^2, with continuation
-steps subdivided until the total argument swept around the branch roots stays
-below pi/2, which pins the principal cube root of the step ratio.  On a chord
-ending at a branch point b the vanishing factor (x-b)^m is split off and
-handled in closed form, so evaluation keeps full precision arbitrarily close
-to b and the integrand exposes only the integrable power (1-u)^(m/3 - 1) that
-tanh-sinh quadrature absorbs.
+All integration happens in the x-plane, along straight chords.  The cover is
+restored analytically: w, a cube root of A*B^2 = prod (x-b)^m_b, is continued
+from the start x1 of a chord to any point x on it as
+w(x1) * exp(1/3 sum_b m_b Log((x-b)/(x1-b))).  Each factor runs along a
+segment from 1 that never meets the cut (-inf, 0] while the chord misses b, so
+the principal logs give the exact continuation without subdivision.
+
+Plain chords (the Abel map of a smooth point) are analytic.  Each is bisected
+into pieces no longer than the distance from their centre to the nearest
+root, and every piece is integrated with one Gauss-Legendre rule whose node
+count is fixed in advance by the working precision.  Tanh-sinh quadrature
+serves only the chords with endpoint singularities: the branch chords and the
+tail to infinity.  On a chord ending at a branch point b the vanishing factor
+(x-b)^m is split off and handled in closed form, so evaluation keeps full
+precision arbitrarily close to b and the integrand exposes only the
+integrable power (1-u)^(m/3 - 1) that tanh-sinh absorbs.
 
 A cycle is a lifted loop word; winding around a branch point only multiplies
 1/y and 1/w by a cube root of unity, so every cycle period is a small integer
@@ -21,12 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from bisect import bisect_left, insort
+import tempfile
 from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.calculus.quadrature import GaussLegendre
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .curve import PointOnCurve, TrigonalCurve
@@ -92,54 +102,86 @@ def _poly_eval_roots(roots: Sequence, mults: Sequence[int], x):
     return v
 
 
-def _arg_sum(roots, mults, x1, x2):
-    total = mp.mpf(0)
-    for b, m in zip(roots, mults):
-        d1 = x1 - b
-        d2 = x2 - b
-        if d1 == 0 or d2 == 0:
-            raise PathCrossesBranchPoint(f"path touches branch root {b}")
-        total += m * abs(mp.arg(d2 / d1))
-    return total
+def _cuberoot_along(roots, mults, x1, w1):
+    """The continuation x -> w(x) of w1, a cube root of the monic product at x1.
 
-
-def _continue_cuberoot(roots, mults, x1, v1, x2, depth=0):
-    """Analytic continuation of a cube root of the monic product along [x1, x2].
-
-    Safe whenever the segment avoids the roots: subdivision bounds the swept
-    argument of the product by pi/2, so the principal cube root of the value
-    ratio is the correct branch.
+    Along a segment from x1 that misses the roots, each factor
+    (x - b)/(x1 - b) traces a segment from 1 that never meets (-inf, 0].  So
+    the principal logs of the factors sum to the exact argument swept, and
+    one exponential gives w at any point of such a segment, with no
+    subdivision.  A root of the product at x1 raises ZeroDivisionError.
     """
-    if x1 == x2:
-        return v1
-    if depth > 60:
-        raise PathCrossesBranchPoint("continuation subdivision did not terminate")
-    if _arg_sum(roots, mults, x1, x2) <= mp.pi / 2:
-        ratio = _poly_eval_roots(roots, mults, x2) / _poly_eval_roots(roots, mults, x1)
-        return v1 * mp.exp(mp.log(ratio) / 3)
-    xm = (x1 + x2) / 2
-    vm = _continue_cuberoot(roots, mults, x1, v1, xm, depth + 1)
-    return _continue_cuberoot(roots, mults, xm, vm, x2, depth + 1)
+    factors = [(b, m, 1 / (x1 - b)) for b, m in zip(roots, mults)]
+
+    def w_at(x):
+        s = mp.mpc(0)
+        for b, m, inv in factors:
+            s += m * mp.log((x - b) * inv)
+        return w1 * mp.exp(s / 3)
+
+    return w_at
 
 
-class _Walker:
-    """Continuation anchors along one parametrized path, keyed by parameter."""
+def _form_values(forms, x, w, ab, dx) -> list:
+    """The integrands x^a w/(A B) dx and x^a dx/w of the forms at one point."""
+    y_factor = w / ab * dx
+    w_factor = dx / w
+    xpow = {}
+    vals = []
+    for a, kind in forms:
+        xa = xpow.get(a)
+        if xa is None:
+            xa = xpow[a] = x**a
+        vals.append(xa * (y_factor if kind == "y" else w_factor))
+    return vals
 
-    def __init__(self, roots, mults, u0, x0, v0):
-        self.roots = list(roots)
-        self.mults = list(mults)
-        self.items: list[tuple] = [(mp.mpf(u0), x0, v0)]
-        self.us: list = [mp.mpf(u0)]
 
-    def value_at(self, u, x):
-        i = bisect_left(self.us, u)
-        cands = [k for k in (i - 1, i) if 0 <= k < len(self.items)]
-        k = min(cands, key=lambda t: abs(self.us[t] - u))
-        _, xa, va = self.items[k]
-        v = _continue_cuberoot(self.roots, self.mults, xa, va, x, 0)
-        insort(self.items, (mp.mpf(u), x, v), key=lambda t: t[0])
-        insort(self.us, mp.mpf(u))
-        return v
+# A chord piece no longer than the distance from its centre to the nearest
+# root maps onto [-1, 1] with every root at |s| >= 2, outside the Bernstein
+# ellipse of parameter rho = 2 + sqrt(3) (semi-axes 2 and sqrt(3)).  There an
+# n-node Gauss-Legendre rule errs by O(rho^(-2n)).
+_LOG10_RHO = math.log10(2 + math.sqrt(3))
+_GL_RULES: dict[tuple[int, int], list] = {}
+
+
+def _gauss_legendre_rule() -> list:
+    """(node, weight) pairs on [-1, 1] with rho^(-2n) below 10^-dps.
+
+    mpmath's rule of degree k has n = 3 * 2^(k-1) nodes; the smallest
+    degree meeting the bound at the ambient dps is taken, and its nodes are
+    computed once per (binary precision, degree).
+    """
+    degree = 1
+    while 6 * 2 ** (degree - 1) * _LOG10_RHO <= mp.mp.dps:
+        degree += 1
+    key = (mp.mp.prec, degree)
+    rule = _GL_RULES.get(key)
+    if rule is None:
+        rule = _GL_RULES[key] = GaussLegendre(mp.mp).calc_nodes(degree, mp.mp.prec)
+    return rule
+
+
+def _split_chord(roots, x1, x2) -> list[tuple]:
+    """Pieces (centre, half-length) of [x1, x2] in order from x1.
+
+    Bisects until each piece is no longer than the distance from its centre
+    to the nearest root.  A root on the chord defeats every bisection next to
+    it, so the depth is capped at the binary precision, where midpoints stop
+    being distinct.
+    """
+    pieces = []
+    stack = [(x1, x2, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        c = (a + b) / 2
+        if abs(b - a) <= min(abs(c - r) for r in roots):
+            pieces.append((c, (b - a) / 2))
+            continue
+        if depth >= mp.mp.prec:
+            raise PathCrossesBranchPoint("chord passes through a branch root")
+        stack.append((c, b, depth + 1))
+        stack.append((a, c, depth + 1))
+    return pieces
 
 
 @dataclass
@@ -224,73 +266,46 @@ class PeriodEngine:
         d = b - x0
         h_roots = [rt for i, rt in enumerate(self._roots) if i != bidx]
         h_mults = [mu for i, mu in enumerate(self._mults) if i != bidx]
-        g_roots = list(h_roots)
-        g_mults = [1] * len(g_roots)
+        g_mults = [1] * len(h_roots)
         h0 = mp.exp(mp.log(_poly_eval_roots(h_roots, h_mults, x0)) / 3)
         C = self._w0_at(x0) / h0
-        walker = _Walker(h_roots, h_mults, 0, x0, h0)
+        h_at = _cuberoot_along(h_roots, h_mults, x0, h0)
         forms = self.forms
         third = mp.mpf(m) / 3
 
         def eval_batch(nodes):
             out = []
             for u, comp in nodes:
+                # (x - b)^m is split off as (-d * comp)^m, so w and A*B keep
+                # full precision arbitrarily close to b
                 x = b - d * comp if comp < mp.mpf("0.5") else x0 + d * u
-                h = walker.value_at(u, x)
-                ch = C * h
-                compm = comp**third
-                gval = _poly_eval_roots(g_roots, g_mults, x)
-                xpow = {}
-                vals = []
-                for a, kind in forms:
-                    xa = xpow.get(a)
-                    if xa is None:
-                        xa = x**a
-                        xpow[a] = xa
-                    if kind == "y":
-                        vals.append(-xa * ch * compm / (comp * gval))
-                    else:
-                        vals.append(xa * d / (ch * compm))
-                out.append(vals)
+                w = C * h_at(x) * comp**third
+                ab = -d * comp * _poly_eval_roots(h_roots, g_mults, x)
+                out.append(_form_values(forms, x, w, ab, d))
             return out
 
-        res = tanh_sinh_batch(
+        return tanh_sinh_batch(
             eval_batch,
             len(forms),
             self.config.quad_tol,
             self.config.quad_max_level,
             sing_order=mp.mpf(2) / 3,
         )
-        return res
 
     def _tail_segment(self, geo: BaseGeometry):
         """Integrals from x0 out to the point over infinity along the tail ray."""
         x0 = mp.mpc(geo.x0)
         d = mp.mpc(geo.tail_dir) * (2 * geo.scale)
-        walker = _Walker(self._roots, self._mults, 0, x0, self._w0_at(x0))
+        w_at = _cuberoot_along(self._roots, self._mults, x0, self._w0_at(x0))
         forms = self.forms
-        ab_roots = self._roots
-        ab_mults = self._mults_ab
 
         def eval_batch(nodes):
             out = []
             for u, comp in nodes:
                 x = x0 + d * (1 - comp) / comp
-                w0 = walker.value_at(u, x)
-                dxdu = d / comp**2
-                ab = _poly_eval_roots(ab_roots, ab_mults, x)
-                xpow = {}
-                vals = []
-                for a, kind in forms:
-                    xa = xpow.get(a)
-                    if xa is None:
-                        xa = x**a
-                        xpow[a] = xa
-                    if kind == "y":
-                        vals.append(xa * w0 / ab * dxdu)
-                    else:
-                        vals.append(xa / w0 * dxdu)
-                out.append(vals)
+                w = w_at(x)
+                ab = _poly_eval_roots(self._roots, self._mults_ab, x)
+                out.append(_form_values(forms, x, w, ab, d / comp**2))
             return out
 
         return tanh_sinh_batch(
@@ -302,44 +317,24 @@ class PeriodEngine:
         )
 
     def _plain_segment(self, x1, w1, x2):
-        """Integrals along a chord avoiding branch roots; returns (vals, w at x2)."""
-        d = x2 - x1
-        walker = _Walker(self._roots, self._mults, 0, x1, w1)
-        forms = self.forms
-        ab_roots = self._roots
-        ab_mults = self._mults_ab
+        """Integrals along a chord avoiding branch roots; returns (vals, w at x2).
 
-        def eval_batch(nodes):
-            out = []
-            for u, comp in nodes:
-                x = x1 + d * u if u <= mp.mpf("0.5") else x2 - d * comp
-                w0 = walker.value_at(u, x)
-                ab = _poly_eval_roots(ab_roots, ab_mults, x)
-                xpow = {}
-                vals = []
-                for a, kind in forms:
-                    xa = xpow.get(a)
-                    if xa is None:
-                        xa = x**a
-                        xpow[a] = xa
-                    if kind == "y":
-                        vals.append(xa * w0 / ab * d)
-                    else:
-                        vals.append(xa / w0 * d)
-                out.append(vals)
-            return out
-
-        res = tanh_sinh_batch(
-            eval_batch,
-            len(forms),
-            self.config.quad_tol,
-            self.config.quad_max_level,
-            sing_order=0,
-        )
-        w2 = _continue_cuberoot(
-            self._roots, self._mults, walker.items[-1][1], walker.items[-1][2], x2, 0
-        )
-        return res, w2
+        The chord is split into root-clear pieces, each integrated with one
+        Gauss-Legendre rule fixed by the working precision; w is continued
+        from x1 to every node directly.
+        """
+        roots = self._roots
+        pieces = _split_chord(roots, x1, x2)
+        rule = _gauss_legendre_rule()
+        w_at = _cuberoot_along(roots, self._mults, x1, w1)
+        totals = [mp.mpc(0)] * len(self.forms)
+        for c, h in pieces:
+            for s, wt in rule:
+                x = c + h * s
+                ab = _poly_eval_roots(roots, self._mults_ab, x)
+                vals = _form_values(self.forms, x, w_at(x), ab, h * wt)
+                totals = [t + v for t, v in zip(totals, vals)]
+        return totals, w_at(x2)
 
     # -- main computation -------------------------------------------------
 
@@ -358,10 +353,25 @@ class PeriodEngine:
             data = self._compute_once(self.config.escalated())
         self.data = data
         if path is not None:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            with open(path, "w") as fh:
-                json.dump(self._dump(data), fh, sort_keys=True)
+            self._store(path, data)
         return data
+
+    def _store(self, path, data: PeriodData) -> None:
+        """Write the cache file whole or not at all: a temp file, then os.replace.
+
+        A crash or a concurrent run can then leave only the previous file or
+        the new one at path, never a truncated one.
+        """
+        directory = os.path.dirname(path) or "."
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".periods_", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(self._dump(data), fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def _compute_once(self, config: RunConfig) -> PeriodData:
         curve = self.curve
@@ -552,9 +562,9 @@ class PeriodEngine:
             totals = [mp.mpc(0)] * g
             w_run = self._w0_at(pts[0])
             for a, b in zip(pts, pts[1:]):
-                res, w_run = self._plain_segment(a, w_run, b)
+                vals, w_run = self._plain_segment(a, w_run, b)
                 for l in range(g):
-                    totals[l] += res.values[l]
+                    totals[l] += vals[l]
             # identify the sheet shift of the requested lift
             zeta = mp.exp(2j * mp.pi / 3)
             dists = [abs(pt.w - zeta**k * w_run) for k in range(3)]

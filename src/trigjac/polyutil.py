@@ -145,17 +145,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def taylor_coeff(self, center, k: int):
-        """Coefficient of (x - center)^k in the expansion at `center`."""
-        p = self
-        for _ in range(k):
-            p = p.derivative()
-        val = p(center)
-        fact = 1
-        for i in range(2, k + 1):
-            fact *= i
-        return val / fact if fact != 1 else val
-
     def root_multiplicity(self, b, tol=None) -> int:
         """Multiplicity of b as a root; exact when tol is None, else |p(b)| <= tol."""
         if self.is_zero():

@@ -1,10 +1,11 @@
 """Tanh-sinh quadrature on (0, 1) with explicit level control.
 
-The driver integrates a batch of integrands sharing one set of nodes, doubling
-the node density until every integral is stable to the requested tolerance.
-New nodes of each refinement are handed to the evaluator in ascending order of
-the parameter, so a caller that continues an analytic branch along the segment
-can walk from already-visited points.
+The period engine uses it only for chords with endpoint singularities: the
+chords that end at a branch point and the tail out to the point over
+infinity.  Plain chords, which are analytic, go to fixed Gauss-Legendre rules
+in periods.py instead.  The driver integrates a batch of integrands sharing
+one set of nodes, doubling the node density until every integral is stable to
+the requested tolerance.
 
 Nodes are passed as (u, 1-u) pairs.  Both coordinates are computed from
 exponential formulas without cancellation, so an evaluator can resolve an
@@ -73,8 +74,8 @@ def tanh_sinh_batch(
 ) -> QuadResult:
     """Integrate a batch of functions over (0, 1).
 
-    eval_batch(nodes) receives new (u, 1-u) pairs sorted by ascending u and
-    returns, for each node, the list of n_integrands integrand values there.
+    eval_batch(nodes) receives the new (u, 1-u) pairs of a level and returns,
+    for each node, the list of n_integrands integrand values there.
     Each abscissa is evaluated exactly once across all levels.  sing_order
     bounds the strongest endpoint blow-up (u-end)^(-q) among the integrands.
     """
@@ -84,10 +85,7 @@ def tanh_sinh_batch(
     level = min_level
     while True:
         nodes = _nodes_at_level(level, eps_w, sing_order)
-        missing = sorted(
-            ((u, comp, key) for key, u, comp, _ in nodes if key not in cache),
-            key=lambda t: t[2],
-        )
+        missing = [(u, comp, key) for key, u, comp, _ in nodes if key not in cache]
         if missing:
             vals = eval_batch([(u, comp) for u, comp, _ in missing])
             for (_, _, key), fv in zip(missing, vals):

@@ -156,6 +156,22 @@ def test_theta_bad_characteristic(capsys, cache_dir):
     assert "2 entries" in err
 
 
+def test_theta_non_half_integer_characteristic(capsys, cache_dir):
+    code, _, err = run(
+        capsys, "--precision", "20", "--cache-dir", cache_dir,
+        "theta", "--char", "1/3,0;0,0", *CURVE12,
+    )
+    assert code == EXIT_VALIDATION
+    assert "not half-integer" in err and "Traceback" not in err
+
+
+def test_precision_below_floor_is_a_validation_error(capsys):
+    code, out, err = run(capsys, "--precision", "10", "semigroup", "3", "4", "5")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "at least 20" in err
+
+
 def test_rc_shifted_constant(capsys, cache_dir):
     code, out, _ = run(
         capsys, "--precision", "20", "--cache-dir", cache_dir, "rc", *CURVE12

@@ -1,16 +1,21 @@
-"""Period matrices: axioms, a genus-1 complex-multiplication oracle, Abel's theorem."""
+"""Period matrices: axioms, a genus-1 complex-multiplication oracle, Abel's theorem,
+plain-chord quadrature against a tanh-sinh reference, and the period cache."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from trigjac import periods
 from trigjac.curve import TrigonalCurve
 from trigjac.divisor import frak_B, place_P, principal_divisor
-from trigjac.periods import PeriodEngine
+from trigjac.errors import PathCrossesBranchPoint
+from trigjac.periods import PeriodEngine, _gauss_legendre_rule, _split_chord
 from trigjac.config import RunConfig
+from trigjac.quadrature import tanh_sinh_batch
 
 
 def imag_matrix(tau, g):
@@ -145,3 +150,107 @@ def test_precision_escalation_shrinks_abel_residual():
             residuals[p] = engine.lattice_reduce(v).dist
     assert residuals[30] < mp.mpf(10) ** (-22)
     assert residuals[50] < residuals[30] * mp.mpf(10) ** (-10)
+
+
+# -- plain chords: Gauss-Legendre on root-clear pieces ------------------------
+
+
+def tanh_sinh_chord(engine, x1, w1, x2, p):
+    """Reference chord integrals: tanh-sinh on [x1, p] and [p, x2], with w
+    continued from x1 by the principal log of every root factor."""
+    totals = [mp.mpc(0)] * len(engine.forms)
+    for a, b in ((x1, p), (p, x2)):
+        d = b - a
+
+        def eval_batch(nodes, a=a, d=d):
+            out = []
+            for u, _ in nodes:
+                x = a + d * u
+                ab = mp.mpc(1)
+                s = mp.mpc(0)
+                for r, m in zip(engine._roots, engine._mults):
+                    ab *= x - r
+                    s += m * mp.log((x - r) / (x1 - r))
+                w = w1 * mp.exp(s / 3)
+                out.append([x**k * (w / ab if kind == "y" else 1 / w) * d
+                            for k, kind in engine.forms])
+            return out
+
+        tol = mp.mpf(10) ** (-(mp.dps - 5))
+        res = tanh_sinh_batch(eval_batch, len(engine.forms), tol, 12)
+        assert res.last_delta < tol, "reference did not converge"
+        totals = [t + v for t, v in zip(totals, res.values)]
+    return totals
+
+
+def near_root_chord(engine):
+    """A chord over the root 1 that passes within scale/1000 of it."""
+    scale = mp.mpf(engine.compute().geo.scale)
+    p = mp.mpc(1) + 1j * scale / 1000
+    return p - scale * mp.mpf("0.8"), p + scale * mp.mpf("0.7"), p
+
+
+@pytest.mark.parametrize("escalate", [False, True], ids=["p40", "p80"])
+def test_plain_chord_near_root_matches_tanh_sinh(engine12, config40, escalate):
+    cfg = config40.escalated() if escalate else config40
+    engine = PeriodEngine(engine12.curve, cfg)
+    with mp.workdps(cfg.working_dps):
+        tol = mp.mpf(10) ** (-(cfg.working_dps - 5))
+        x1, x2, p = near_root_chord(engine12)
+        w1 = engine._w0_at(x1)
+        got, w2 = engine._plain_segment(x1, w1, x2)
+        # the rule is fixed by the working precision alone
+        n = len(_gauss_legendre_rule())
+        assert 2 * n * mp.log10(2 + mp.sqrt(3)) > cfg.working_dps
+        # the continued w is a cube root of A B^2 at x2
+        assert abs(w2**3 - engine._w0_at(x2) ** 3) < tol
+    with mp.workdps(cfg.working_dps + 10):
+        want = tanh_sinh_chord(engine, x1, w1, x2, p)
+    for a, b in zip(got, want):
+        assert abs(a - b) < tol * max(1, abs(b)), (mp.nstr(a, 20), mp.nstr(b, 20))
+
+
+class CountingRoots(list):
+    """A root list that counts how often a piece is tested against it."""
+
+    def __init__(self, roots):
+        super().__init__(roots)
+        self.visits = 0
+
+    def __iter__(self):
+        self.visits += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("x1, x2", [("-0.5", "0.5"), ("0", "0.5")],
+                         ids=["through", "from-root"])
+def test_chord_through_root_raises_after_bounded_splits(engine12, config40, x1, x2):
+    with mp.workdps(config40.working_dps):
+        x1, x2 = mp.mpc(x1), mp.mpc(x2)
+        roots = CountingRoots(engine12._roots)
+        with pytest.raises(PathCrossesBranchPoint):
+            _split_chord(roots, x1, x2)
+        # each depth level fails only the few pieces next to the root
+        assert roots.visits <= 8 * mp.prec
+        with pytest.raises(PathCrossesBranchPoint):
+            engine12._plain_segment(x1, engine12._w0_at(x1), x2)
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    cfg = RunConfig(precision=20, cache_dir=str(tmp_path))
+    with mp.workdps(cfg.working_dps):
+        curve = TrigonalCurve(1, 2, [Fraction(0), Fraction(1), Fraction(-1)])
+    engine = PeriodEngine(curve, cfg)
+    engine.compute()
+    (path,) = tmp_path.iterdir()
+    before = path.read_bytes()
+
+    def broken_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(periods.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        engine.compute(force=True)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
