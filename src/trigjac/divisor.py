@@ -136,6 +136,11 @@ def point_divisor(pt: PointOnCurve, n: int = 1) -> Divisor:
     return Divisor(pt.curve, p=0, b=(0,) * pt.curve.n_branch, generic=((pt, n),))
 
 
+def points_divisor(curve: TrigonalCurve, points, b: tuple[int, ...] = ()) -> Divisor:
+    """Each smooth point once, plus b[i] times the branch place B_i."""
+    return Divisor(curve, p=0, b=tuple(b), generic=tuple((pt, 1) for pt in points))
+
+
 def frak_B(curve: TrigonalCurve) -> Divisor:
     """B_{s+1} + ... + B_{s+r}, the B-root part (degree d0 = r)."""
     return Divisor(

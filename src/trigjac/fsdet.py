@@ -26,6 +26,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .curve import PointOnCurve, TrigonalCurve, polyutil_mul_trunc
+from .divisor import frak_B, frak_B1, points_divisor
 from .errors import (
     BasisExhausted,
     GeneralPositionFailure,
@@ -233,23 +234,12 @@ def mu(curve: TrigonalCurve, points, Q: PointOnCurve):
         raise ValidationError("mu needs at least one interpolation point")
     codes = _rb_rows(curve, n + 1)
     rows = _rows_matrix(curve, _group_points(points), codes)
-    qrow = []
-    for _, (a, b, c) in codes:
-        v = mp.mpc(Q.x) ** a
-        if b:
-            v *= Q.w
-        if c:
-            v *= Q.y
-        qrow.append(v)
+    (qrow,) = _rows_matrix(curve, [(Q, 1)], codes)
     num, _ = _det_with_scale(rows + [qrow])
     den, scale = _det_with_scale([row[:n] for row in rows])
     if scale == 0 or abs(den) <= mp.mpf(10) ** (-(mp.mp.dps // 2)) * scale:
         raise SingularConfiguration("psi_n vanishes at the interpolation points")
     return num / den
-
-
-def _cube_root_points(curve: TrigonalCurve, x0) -> list[PointOnCurve]:
-    return [curve.point(x0, sheet=k) for k in range(3)]
 
 
 def mu_divisor_check(engine: PeriodEngine, points) -> dict:
@@ -323,7 +313,7 @@ def mu_divisor_check(engine: PeriodEngine, points) -> dict:
             if ib is not None and bdists[ib] <= match_tol * (1 + abs(x0)):
                 q_branch.append(ib)
                 continue
-            cands = _cube_root_points(curve, x0)
+            cands = [curve.point(x0, sheet=k) for k in range(3)]
             vals = [abs(mufn.value(c)) for c in cands]
             order = sorted(range(3), key=lambda k: vals[k])
             if vals[order[0]] > mp.mpf("1e-6") * vals[order[1]]:
@@ -332,39 +322,17 @@ def mu_divisor_check(engine: PeriodEngine, points) -> dict:
                 )
             q_points.append(cands[order[0]])
 
-        g = curve.genus
-        v = [mp.mpc(0)] * g
-        vP = [mp.mpc(0)] * g
-        for pt in points:
-            av = engine.abel_point(pt)
-            for l in range(g):
-                vP[l] += av[l]
-        vQ = [mp.mpc(0)] * g
-        for pt in q_points:
-            av = engine.abel_point(pt)
-            for l in range(g):
-                vQ[l] += av[l]
+        # every zero of mu_n off the full branch sum: the inputs and the leftovers
+        q_b = [0] * curve.n_branch
         for ib in q_branch:
-            av = engine.abel_branch(ib)
-            for l in range(g):
-                vQ[l] += av[l]
-        vB1 = [mp.mpc(0)] * g
-        for i in range(curve.s + curve.r):
-            av = engine.abel_branch(i)
-            for l in range(g):
-                vB1[l] += av[l]
-        for l in range(g):
-            v[l] = vP[l] + vQ[l] + vB1[l]
-        red = engine.lattice_reduce(v)
+            q_b[ib] += 1
+        vPQ = engine.abel_divisor(points_divisor(curve, list(points) + q_points, q_b))
+        vB1 = engine.abel_divisor(frak_B1(curve))
+        red = engine.lattice_reduce([a + b for a, b in zip(vPQ, vB1)])
 
         # class relation: (sum P + B-sum) - (n+d0)P ~ -[(sum Q + B-sum) + ...]
-        vfB = [mp.mpc(0)] * g
-        for i in range(curve.s, curve.s + curve.r):
-            av = engine.abel_branch(i)
-            for l in range(g):
-                vfB[l] += av[l]
-        diff = [vP[l] + vQ[l] + 2 * vfB[l] for l in range(g)]
-        red2 = engine.lattice_reduce(diff)
+        vfB = engine.abel_divisor(frak_B(curve))
+        red2 = engine.lattice_reduce([a + 2 * b for a, b in zip(vPQ, vfB)])
 
         report = {
             "n": n,

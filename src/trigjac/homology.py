@@ -65,7 +65,8 @@ class BaseGeometry:
     scale: float
 
 
-def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
+def seg_point_dist(a, b, p):
+    """Distance from p to the segment [a, b]; complex floats or mp scalars."""
     d = b - a
     L2 = abs(d) ** 2
     if L2 == 0.0:
@@ -92,7 +93,7 @@ def choose_base_geometry(branch_points: Sequence[complex], exponents: Sequence[i
             for k in range(n)
         )
         clear_ok = all(
-            _seg_point_dist(x0, pts[i], pts[j]) > 0.02 * scale
+            seg_point_dist(x0, pts[i], pts[j]) > 0.02 * scale
             for i in range(n)
             for j in range(n)
             if i != j

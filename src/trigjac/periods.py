@@ -48,9 +48,11 @@ from .homology import (
     candidate_words,
     choose_base_geometry,
     intersection_matrix,
+    seg_point_dist,
     symplectic_basis,
 )
 from .quadrature import tanh_sinh_batch
+from .theta import imag_cholesky
 
 CACHE_FORMAT = "periods-v1"
 
@@ -94,11 +96,12 @@ def _matrix_from_json(rows) -> mp.matrix:
     return M
 
 
-def _poly_eval_roots(roots: Sequence, mults: Sequence[int], x):
-    """Monic product prod (x - root)^mult; stable arbitrarily far from roots."""
+def _poly_eval_roots(roots: Sequence, x, mults: Sequence[int] | None = None):
+    """Monic product prod (x - root)^mult, every mult 1 unless given; stable
+    arbitrarily far from roots."""
     v = mp.mpc(1)
-    for b, m in zip(roots, mults):
-        v *= (x - b) ** m
+    for i, b in enumerate(roots):
+        v *= x - b if mults is None else (x - b) ** mults[i]
     return v
 
 
@@ -227,16 +230,13 @@ class PeriodEngine:
         self.config = config
         self.forms = curve.holomorphic_form_codes()
         self.data: PeriodData | None = None
-        roots = []
-        mults = []
-        weights = []
-        for i, b in enumerate(curve.branch_points_mp()):
-            roots.append(mp.mpc(b))
-            mults.append(curve.branch_exponent(i))
-            weights.append(1)
-        self._roots = roots
-        self._mults = mults          # orders of A*B^2 at the roots
-        self._mults_ab = weights     # orders of A*B at the roots (all 1)
+        # orders of A*B^2 at the roots
+        self._mults = [curve.branch_exponent(i) for i in range(curve.n_branch)]
+
+    @property
+    def _roots(self) -> list:
+        """The branch roots, rounded to the ambient precision at each read."""
+        return self.curve.branch_points_mp()
 
     # -- infrastructure -------------------------------------------------
 
@@ -255,19 +255,19 @@ class PeriodEngine:
     # -- integrals ------------------------------------------------------
 
     def _w0_at(self, x):
-        return mp.exp(mp.log(_poly_eval_roots(self._roots, self._mults, x)) / 3)
+        return mp.exp(mp.log(_poly_eval_roots(self._roots, x, self._mults)) / 3)
 
     def _branch_segment(self, geo: BaseGeometry, pos: int):
         """Chord integrals from x0 to ray pos for all g forms."""
         bidx = geo.order[pos]
-        b = self._roots[bidx]
+        roots = self._roots
+        b = roots[bidx]
         m = geo.m[pos]
         x0 = mp.mpc(geo.x0)
         d = b - x0
-        h_roots = [rt for i, rt in enumerate(self._roots) if i != bidx]
+        h_roots = [rt for i, rt in enumerate(roots) if i != bidx]
         h_mults = [mu for i, mu in enumerate(self._mults) if i != bidx]
-        g_mults = [1] * len(h_roots)
-        h0 = mp.exp(mp.log(_poly_eval_roots(h_roots, h_mults, x0)) / 3)
+        h0 = mp.exp(mp.log(_poly_eval_roots(h_roots, x0, h_mults)) / 3)
         C = self._w0_at(x0) / h0
         h_at = _cuberoot_along(h_roots, h_mults, x0, h0)
         forms = self.forms
@@ -280,7 +280,7 @@ class PeriodEngine:
                 # full precision arbitrarily close to b
                 x = b - d * comp if comp < mp.mpf("0.5") else x0 + d * u
                 w = C * h_at(x) * comp**third
-                ab = -d * comp * _poly_eval_roots(h_roots, g_mults, x)
+                ab = -d * comp * _poly_eval_roots(h_roots, x)
                 out.append(_form_values(forms, x, w, ab, d))
             return out
 
@@ -296,7 +296,8 @@ class PeriodEngine:
         """Integrals from x0 out to the point over infinity along the tail ray."""
         x0 = mp.mpc(geo.x0)
         d = mp.mpc(geo.tail_dir) * (2 * geo.scale)
-        w_at = _cuberoot_along(self._roots, self._mults, x0, self._w0_at(x0))
+        roots = self._roots
+        w_at = _cuberoot_along(roots, self._mults, x0, self._w0_at(x0))
         forms = self.forms
 
         def eval_batch(nodes):
@@ -304,7 +305,7 @@ class PeriodEngine:
             for u, comp in nodes:
                 x = x0 + d * (1 - comp) / comp
                 w = w_at(x)
-                ab = _poly_eval_roots(self._roots, self._mults_ab, x)
+                ab = _poly_eval_roots(roots, x)
                 out.append(_form_values(forms, x, w, ab, d / comp**2))
             return out
 
@@ -331,7 +332,7 @@ class PeriodEngine:
         for c, h in pieces:
             for s, wt in rule:
                 x = c + h * s
-                ab = _poly_eval_roots(roots, self._mults_ab, x)
+                ab = _poly_eval_roots(roots, x)
                 vals = _form_values(self.forms, x, w_at(x), ab, h * wt)
                 totals = [t + v for t, v in zip(totals, vals)]
         return totals, w_at(x2)
@@ -377,10 +378,7 @@ class PeriodEngine:
         curve = self.curve
         g = curve.genus
         with mp.workdps(config.precision + config.guard_digits):
-            geo = choose_base_geometry(
-                [complex(b) for b in curve.branch_points_mp()],
-                [curve.branch_exponent(i) for i in range(curve.n_branch)],
-            )
+            geo = choose_base_geometry([complex(b) for b in self._roots], self._mults)
             words = candidate_words(geo.m)
             K = intersection_matrix(words, geo.m)
             rows, _ = symplectic_basis(K, g)
@@ -429,17 +427,18 @@ class PeriodEngine:
                 return om_a, om_b
 
             omega_alpha, omega_beta = cycle_periods(rows)
-            tau = self._normalize(omega_alpha, omega_beta, config)
+            normal = self._normalize(omega_alpha, omega_beta)
             swapped = False
-            if tau is None:
+            if normal is None:
                 # intersection orientation opposite to the analytic one: swap
                 # each (a_i, b_i) pair, a valid symplectic basis again
                 rows = [rows[t ^ 1] for t in range(len(rows))]
                 omega_alpha, omega_beta = cycle_periods(rows)
-                tau = self._normalize(omega_alpha, omega_beta, config)
+                normal = self._normalize(omega_alpha, omega_beta)
                 swapped = True
-                if tau is None:
+                if normal is None:
                     raise PrecisionLoss("Im tau indefinite under both orientations")
+            tau, eigs = normal
 
             asym = mp.mpf(0)
             for i in range(g):
@@ -448,15 +447,8 @@ class PeriodEngine:
             scale = max(1, mp.mnorm(tau, "inf"))
             if asym / scale > mp.mpf(10) ** (-(config.precision - 10)):
                 raise PrecisionLoss(f"tau asymmetry {mp.nstr(asym, 5)}")
-            imt = mp.matrix(g, g)
-            for i in range(g):
-                for j in range(g):
-                    imt[i, j] = (tau[i, j].imag + tau[j, i].imag) / 2
-            eigs = mp.eigsy(imt, eigvals_only=True)
             diagnostics["tau_asym"] = asym
             diagnostics["imtau_min_eig"] = min(eigs)
-            if min(eigs) <= 0:
-                raise PrecisionLoss("Im tau not positive definite")
 
             return PeriodData(
                 fingerprint=curve.fingerprint(),
@@ -474,21 +466,18 @@ class PeriodEngine:
             )
 
     @staticmethod
-    def _normalize(omega_alpha, omega_beta, config):
-        """tau = omega_alpha^-1 omega_beta, or None if Im tau negative definite."""
-        g = omega_alpha.rows
+    def _normalize(omega_alpha, omega_beta):
+        """(tau, eigenvalues of Im tau) for tau = omega_alpha^-1 omega_beta, or
+        None if Im tau is not positive definite."""
         try:
             tau = omega_alpha**-1 * omega_beta
         except ZeroDivisionError as exc:
             raise PrecisionLoss("alpha-period matrix is singular") from exc
-        imt = mp.matrix(g, g)
-        for i in range(g):
-            for j in range(g):
-                imt[i, j] = (tau[i, j].imag + tau[j, i].imag) / 2
-        eigs = mp.eigsy(imt, eigvals_only=True)
-        if max(eigs) < 0:
+        try:
+            Y, _ = imag_cholesky(tau)
+        except PrecisionLoss:
             return None
-        return tau
+        return tau, mp.eigsy(Y, eigvals_only=True)
 
     # -- derived quantities ----------------------------------------------
 
@@ -521,16 +510,11 @@ class PeriodEngine:
         x0 = mp.mpc(data.geo.x0)
         scale = mp.mpf(data.geo.scale)
         clearance = scale / 25
+        roots = self._roots
 
         def ok(a, b):
-            for rt in self._roots:
-                d = b - a
-                L2 = abs(d) ** 2
-                if L2 == 0:
-                    continue
-                t = ((rt - a).conjugate() * d).real / L2
-                t = max(0, min(1, t))
-                dr = abs(rt - (a + t * d))
+            for rt in roots:
+                dr = seg_point_dist(a, b, rt)
                 if dr < clearance and dr < 0.9 * min(abs(rt - a), abs(rt - b)):
                     return False
             return True
@@ -545,7 +529,7 @@ class PeriodEngine:
             best = None
             for sgn in (1, -1):
                 midp = (a + b) / 2 + sgn * side
-                clear = min(abs(midp - rt) for rt in self._roots)
+                clear = min(abs(midp - rt) for rt in roots)
                 if best is None or clear > best[0]:
                     best = (clear, midp)
             midp = best[1]
@@ -603,16 +587,9 @@ class PeriodEngine:
         g = self.curve.genus
         with self._wdps():
             tau = data.tau
-            imt = mp.matrix(g, g)
-            col = mp.matrix(g, 1)
-            for i in range(g):
-                col[i, 0] = mp.mpc(v[i]).imag
-                for j in range(g):
-                    imt[i, j] = tau[i, j].imag
-            try:
-                nreal = mp.lu_solve(imt, col)
-            except ZeroDivisionError as exc:
-                raise PrecisionLoss("Im tau numerically singular") from exc
+            Y, _ = imag_cholesky(tau)
+            col = mp.matrix([mp.mpc(x).imag for x in v])
+            nreal = mp.lu_solve(Y, col)
             n = [int(mp.nint(nreal[i, 0])) for i in range(g)]
             m = []
             for i in range(g):

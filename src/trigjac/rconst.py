@@ -15,6 +15,12 @@ B-type branch points), so kappa shifted by the Abel image of that branch sum
 is a half-period even though kappa itself is not one on the non-symmetric
 members.  The shifted constant therefore has a theta characteristic with
 entries in {0, 1/2}, which the package extracts and verifies.
+
+The 4^g candidate offsets are the points tau*d' + d'' of the characteristics
+of theta.half_characteristics, in its order; the characteristic of a
+half-period v is read off one lattice reduction of 2v.  A battery that runs
+out of draws before config.battery_size rounds were decisive raises
+PrecisionLoss instead of returning an answer on thinner evidence.
 """
 
 from __future__ import annotations
@@ -27,10 +33,16 @@ from fractions import Fraction
 import mpmath as mp
 
 from .curve import PointOnCurve, TrigonalCurve
-from .divisor import canonical_divisor, frak_B
-from .errors import AmbiguousCandidate, NoCandidate, NotHalfPeriod, TheoremCheckFailed
+from .divisor import canonical_divisor, frak_B, points_divisor
+from .errors import (
+    AmbiguousCandidate,
+    NoCandidate,
+    NotHalfPeriod,
+    PrecisionLoss,
+    TheoremCheckFailed,
+)
 from .periods import PeriodEngine
-from .theta import ThetaChar, classify_vanishing, theta_value
+from .theta import ThetaChar, classify_vanishing, half_characteristics, theta_value
 
 
 @dataclass
@@ -68,27 +80,6 @@ def random_effective_points(curve: TrigonalCurve, count: int, rng: random.Random
     return pts
 
 
-def _half_offsets(tau, g: int):
-    """All (tau*m + n)/2 for bit vectors m, n, with the bits kept."""
-    out = []
-    for mask in range(4**g):
-        bits = []
-        v = mask
-        for _ in range(2 * g):
-            bits.append(v % 2)
-            v //= 2
-        mbits = tuple(bits[:g][::-1])
-        nbits = tuple(bits[g:][::-1])
-        vec = []
-        for i in range(g):
-            acc = mp.mpc(nbits[i]) / 2
-            for j in range(g):
-                acc += tau[i, j] * mbits[j] / 2
-            vec.append(acc)
-        out.append(((mbits, nbits), vec))
-    return out
-
-
 def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
     """Filter the half-period candidates for kappa by Riemann vanishing."""
     cached = getattr(engine, "_rconst_memo", None)
@@ -101,8 +92,9 @@ def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
     with mp.workdps(config.precision + config.guard_digits):
         acan = engine.abel_divisor(canonical_divisor(curve))
         base = [-v / 2 for v in acan]
-        offsets = _half_offsets(data.tau, g)
-        survivors = {c for c in range(len(offsets))}
+        chars = list(half_characteristics(g))
+        offsets = [ch.vector(data.tau) for ch in chars]
+        survivors = set(range(len(chars)))
         rng = random.Random(config.seed)
         decisive = 0
         draws = 0
@@ -110,15 +102,11 @@ def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
         while (decisive < config.battery_size or len(survivors) > 1) and draws < max_draws:
             draws += 1
             pts = random_effective_points(curve, g - 1, rng)
-            zD = [mp.mpc(0)] * g
-            for pt in pts:
-                av = engine.abel_point(pt)
-                for l in range(g):
-                    zD[l] += av[l]
+            zD = engine.abel_divisor(points_divisor(curve, pts))
             verdicts = {}
             ambiguous = False
             for c in sorted(survivors):
-                _, off = offsets[c]
+                off = offsets[c]
                 z = [zD[l] + base[l] + off[l] for l in range(g)]
                 val, scale = theta_value(z, data.tau)
                 verdict = classify_vanishing(abs(val), scale, config)
@@ -136,8 +124,14 @@ def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
             raise AmbiguousCandidate(
                 f"{len(survivors)} candidates left after {draws} draws"
             )
+        if decisive < config.battery_size:
+            raise PrecisionLoss(
+                f"only {decisive} of {config.battery_size} battery rounds decisive"
+                f" after {draws} draws"
+            )
         c = survivors.pop()
-        bits, off = offsets[c]
+        ch, off = chars[c], offsets[c]
+        bits = (tuple(int(2 * v) for v in ch.top), tuple(int(2 * v) for v in ch.bottom))
         delta = tuple(base[l] + off[l] for l in range(g))
         result = RiemannConstant(delta=delta, offset_bits=bits, decisive_rounds=decisive)
         engine._rconst_memo = result
@@ -147,38 +141,15 @@ def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
 def characteristic_of(engine: PeriodEngine, v) -> tuple[ThetaChar, object]:
     """Nearest half-integer characteristic to v: v = tau d' + d'' mod lattice.
 
+    2v reduces to tau n + m modulo the lattice, so d' = n/2 and d'' = m/2.
     Returns the characteristic with entries reduced into {0, 1/2} and the
-    rounding residual max|v - tau d' - d'' - lattice|.
+    rounding residual max|v - tau d' - d'' - lattice|, half the lattice
+    distance of 2v.
     """
-    data = engine.compute()
-    g = engine.curve.genus
     config = engine.config
     with mp.workdps(config.precision + config.guard_digits):
-        tau = data.tau
-        imt = mp.matrix(g, g)
-        col = mp.matrix(g, 1)
-        for i in range(g):
-            col[i, 0] = mp.mpc(v[i]).imag
-            for j in range(g):
-                imt[i, j] = tau[i, j].imag
-        dp_real = mp.lu_solve(imt, col)
-        k1 = [int(mp.nint(2 * dp_real[i, 0])) for i in range(g)]
-        dq_real = []
-        for i in range(g):
-            re = mp.mpc(v[i]).real - sum(tau[i, j].real * k1[j] for j in range(g)) / 2
-            dq_real.append(re)
-        k2 = [int(mp.nint(2 * r)) for r in dq_real]
-        residual = mp.mpf(0)
-        for i in range(g):
-            ri = mp.mpc(v[i]) - mp.mpf(k2[i]) / 2
-            for j in range(g):
-                ri -= tau[i, j] * mp.mpf(k1[j]) / 2
-            residual = max(residual, abs(ri))
-        char = ThetaChar(
-            tuple(Fraction(k % 2, 2) for k in k1),
-            tuple(Fraction(k % 2, 2) for k in k2),
-        )
-        return char, residual
+        red = engine.lattice_reduce([2 * x for x in v])
+        return ThetaChar.half_from_bits(red.n, red.m), red.dist / 2
 
 
 def shifted_constant(engine: PeriodEngine) -> ShiftedConstant:
@@ -193,19 +164,18 @@ def shifted_constant(engine: PeriodEngine) -> ShiftedConstant:
     with mp.workdps(config.precision + config.guard_digits):
         aB = engine.abel_divisor(frak_B(curve))
         delta_s = tuple(rc.delta[l] - aB[l] for l in range(g))
-        red2 = engine.lattice_reduce([2 * v for v in delta_s])
-        if red2.dist > config.lattice_tol:
-            raise NotHalfPeriod(
-                f"2*(shifted constant) misses the lattice by {mp.nstr(red2.dist, 5)}"
-            )
         char, residual = characteristic_of(engine, delta_s)
+        if 2 * residual > config.lattice_tol:
+            raise NotHalfPeriod(
+                f"2*(shifted constant) misses the lattice by {mp.nstr(2 * residual, 5)}"
+            )
         red_unshifted = engine.lattice_reduce([2 * v for v in rc.delta])
         result = ShiftedConstant(
             delta=rc.delta,
             delta_s=delta_s,
             char=char,
             char_residual=residual,
-            lattice_dist_2delta_s=red2.dist,
+            lattice_dist_2delta_s=2 * residual,
             unshifted_is_half_period=bool(red_unshifted.dist <= config.lattice_tol),
         )
         engine._shifted_memo = result
@@ -310,17 +280,13 @@ def verify_shifted(engine: PeriodEngine, rounds: int | None = None,
         "parity_formula": sc.char.parity(),
     }
     with mp.workdps(config.precision + config.guard_digits):
-        aB = engine.abel_divisor(frak_B(curve))
+        B = frak_B(curve)
         rng = random.Random(config.seed + 1)
         worst_vanish = mp.mpf(0)
         worst_plain = mp.mpf(0)
         for _ in range(rounds):
             pts = random_effective_points(curve, g - 1, rng)
-            z = list(aB)
-            for pt in pts:
-                av = engine.abel_point(pt)
-                for l in range(g):
-                    z[l] += av[l]
+            z = engine.abel_divisor(B + points_divisor(curve, pts))
             val, scale = theta_value(z, data.tau, sc.char)
             worst_vanish = max(worst_vanish, abs(val) / scale)
             # same locus through the plain theta: shift the argument instead
@@ -349,17 +315,14 @@ def verify_shifted(engine: PeriodEngine, rounds: int | None = None,
         # abel(D + B-sum) lies on it, so its negative must as well
         rng2 = random.Random(config.seed + 2)
         pts = random_effective_points(curve, g - 1, rng2)
-        z = list(aB)
-        for pt in pts:
-            av = engine.abel_point(pt)
-            for l in range(g):
-                z[l] += av[l]
+        z = engine.abel_divisor(B + points_divisor(curve, pts))
         vneg2, sneg2 = theta_value([-v for v in z], data.tau, sc.char)
         report["symmetric_divisor_rel"] = abs(vneg2) / sneg2
         report["symmetric_divisor_ok"] = bool(abs(vneg2) <= config.vanish_tol * sneg2)
 
         # the class of (B-sum) - r*P is killed by 3; it is nontrivial exactly
         # when the branch sum is nonempty
+        aB = engine.abel_divisor(B)
         torsion3 = engine.lattice_reduce([3 * v for v in aB])
         report["torsion3_dist"] = torsion3.dist
         torsion3_ok = bool(torsion3.dist <= config.lattice_tol)

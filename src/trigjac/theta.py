@@ -21,6 +21,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .config import RunConfig
+from .errors import PrecisionLoss
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,12 @@ class ThetaChar:
 
 
 def half_characteristics(g: int):
-    """All 4^g half-integer characteristics, lexicographic in (top, bottom)."""
+    """All 4^g half-integer characteristics, in mask order.
+
+    Mask k, read as 2g binary digits from the most significant, lists the
+    bottom bits and then the top bits: the bottom row varies slowest, and mask
+    1 is top (0, ..., 0, 1/2) with bottom 0.
+    """
     for mask in range(4**g):
         bits = []
         v = mask
@@ -90,6 +96,24 @@ def half_characteristics(g: int):
         top = bits[:g][::-1]
         bottom = bits[g:][::-1]
         yield ThetaChar.half_from_bits(top, bottom)
+
+
+def imag_cholesky(tau):
+    """(Y, L): Y the symmetrised Im tau and L its lower Cholesky factor.
+
+    Y = L L^T.  A Y that is not numerically positive definite raises
+    PrecisionLoss.
+    """
+    g = tau.rows
+    Y = mp.matrix(g, g)
+    for i in range(g):
+        for j in range(g):
+            Y[i, j] = (tau[i, j].imag + tau[j, i].imag) / 2
+    try:
+        L = mp.cholesky(Y)
+    except ValueError as exc:
+        raise PrecisionLoss("Im tau is not positive definite") from exc
+    return Y, L
 
 
 def _ellipsoid_points(R, center, radius):
@@ -133,11 +157,7 @@ def theta_value(z: Sequence, tau, char: ThetaChar | None = None):
     dp = [mp.mpf(c.numerator) / c.denominator for c in char.top]
     dq = [mp.mpf(c.numerator) / c.denominator for c in char.bottom]
 
-    Y = mp.matrix(g, g)
-    for i in range(g):
-        for j in range(g):
-            Y[i, j] = (tau[i, j].imag + tau[j, i].imag) / 2
-    L = mp.cholesky(Y)
+    Y, L = imag_cholesky(tau)
     R = L.T
     yv = mp.matrix(g, 1)
     for i in range(g):

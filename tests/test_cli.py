@@ -7,14 +7,26 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 import trigjac
-from trigjac.cli import EXIT_OK, EXIT_VALIDATION, EXIT_VERIFICATION, main
+from trigjac import PeriodEngine, RunConfig, TrigonalCurve
+from trigjac.cli import (
+    EXIT_OK,
+    EXIT_VALIDATION,
+    EXIT_VERIFICATION,
+    _make_config,
+    build_parser,
+    main,
+)
+from trigjac.curve import roots_of_poly
 
 CURVE12 = ["1", "2", "0", "1", "--", "-1"]
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +229,65 @@ def test_verify_battery_passes(capsys, cache_dir):
         "semicanonical", "periods", "riemann_constant",
         "shifted_constant", "shifted_theorems", "jacobi_inversion",
     }
+
+
+def test_periods_roots_at_working_precision():
+    # the roots of x^3 + x + 1 are not dyadic: an engine that held them at
+    # double precision moved tau by 1.6e-17
+    argv = ["--precision", "30", "periods", "--roots-of", "1,1,0,1", "1", "2"]
+    args = build_parser().parse_args(argv)
+    cfg = _make_config(args)
+    report, code = args.func(args, cfg)
+    assert code == EXIT_OK
+    with mp.workdps(cfg.working_dps):
+        roots = roots_of_poly([Fraction(1), Fraction(1), Fraction(0), Fraction(1)])
+        tau = PeriodEngine(TrigonalCurve(1, 2, roots), cfg).compute().tau
+        for i, row in enumerate(report["tau"]):
+            for j, v in enumerate(row):
+                assert abs(v - tau[i, j]) < mp.mpf(10) ** -30
+
+
+# Residuals at rounding level may move with the order of floating-point
+# operations; each stays under the tolerance its ok flag uses.
+def _residual_tolerances(precision: int) -> dict:
+    cfg = RunConfig(precision=precision)
+    return {
+        "char_residual": cfg.lattice_tol,
+        "abel_residual": cfg.lattice_tol,
+        "class_residual": cfg.lattice_tol,
+        "vanishing_worst_rel": cfg.vanish_tol,
+        "plain_shift_worst_rel": cfg.vanish_tol,
+        "symmetric_divisor_rel": cfg.vanish_tol,
+        "parity_numeric_err": mp.mpf(10) ** -(precision // 2),
+    }
+
+
+def _assert_matches_golden(got, want, tols, path="report"):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for k in want:
+            if k in tols:
+                assert mp.mpf(got[k]) <= tols[k], (f"{path}.{k}", got[k])
+            else:
+                _assert_matches_golden(got[k], want[k], tols, f"{path}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_matches_golden(a, b, tols, f"{path}[{i}]")
+    else:
+        assert got == want, (path, got, want)
+
+
+@pytest.mark.parametrize("golden, precision, argv", [
+    ("verify_1_2_p20.json", 20, ["verify", *CURVE12]),
+    ("fs_1_3_p40.json", 40, ["fs", "1", "3", "0", "1", "-1", "2"]),
+], ids=["verify", "fs"])
+def test_report_matches_golden_output(capsys, golden, precision, argv):
+    code, out, err = run(capsys, "--precision", str(precision), *argv)
+    assert code == EXIT_OK, err
+    with open(os.path.join(DATA, golden)) as fh:
+        want = json.load(fh)
+    _assert_matches_golden(json.loads(out), want, _residual_tolerances(precision))
 
 
 def _check_semigroup_378(cmd, env=None):

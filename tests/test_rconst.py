@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from mpmath import mp
 
-from trigjac.errors import TheoremCheckFailed
+from trigjac import PeriodEngine, RunConfig, TrigonalCurve, rconst
+from trigjac.errors import PrecisionLoss, TheoremCheckFailed
 from trigjac.rconst import (
     characteristic_of,
     match_published,
@@ -15,7 +17,7 @@ from trigjac.rconst import (
     shifted_constant,
     verify_shifted,
 )
-from trigjac.theta import theta_value
+from trigjac.theta import half_characteristics, theta_value
 
 
 def test_riemann_constant_is_decisive(engine12):
@@ -66,15 +68,14 @@ def test_shifted_theta_vanishes_on_abel_images(engine12, config40):
 def test_characteristic_roundtrip(engine12, config40):
     with mp.workdps(config40.working_dps):
         tau = engine12.compute().tau
-        dp = [Fraction(1, 2), Fraction(0)]
-        dpp = [Fraction(0), Fraction(1, 2)]
-        v = [
-            tau[k, 0] * mp.mpf(1) / 2 + (mp.mpf(1) / 2 if k == 1 else 0)
-            for k in range(2)
-        ]
-        char, resid = characteristic_of(engine12, v)
-        assert resid < config40.lattice_tol
-        assert char.top == tuple(dp) and char.bottom == tuple(dpp)
+        for k, ch in enumerate(half_characteristics(2)):
+            # tau d' + d'' moved by a nonzero lattice vector m + tau n
+            m, n = (k % 3 - 1, 1), (-1, k % 2 + 1)
+            v = [x + m[i] + tau[i, 0] * n[0] + tau[i, 1] * n[1]
+                 for i, x in enumerate(ch.vector(tau))]
+            char, resid = characteristic_of(engine12, v)
+            assert resid < config40.lattice_tol
+            assert char.top == ch.top and char.bottom == ch.bottom, k
 
 
 def test_verify_shifted_report(engine12):
@@ -93,3 +94,27 @@ def test_verify_shifted_strict_mode_passes(engine12):
 def test_no_published_value_for_generic_member(engine12):
     assert published_characteristic(engine12.curve) is None
     assert match_published(engine12) == {"applicable": False}
+
+
+def test_undecided_battery_is_a_precision_loss(monkeypatch):
+    # every draw after the second lands in the grey band, so the battery runs
+    # out of draws with one survivor and 2 of its 4 decisive rounds
+    cfg = RunConfig(precision=20, battery_size=4)
+    with mp.workdps(cfg.working_dps):
+        curve = TrigonalCurve(1, 2, [Fraction(0), Fraction(1), Fraction(-1)])
+    engine = PeriodEngine(curve, cfg)
+    draws = []
+    real_draw, real_classify = rconst.random_effective_points, rconst.classify_vanishing
+
+    def counted_draw(*args):
+        draws.append(args)
+        return real_draw(*args)
+
+    def classify(value_abs, scale, config):
+        return real_classify(value_abs, scale, config) if len(draws) <= 2 else None
+
+    monkeypatch.setattr(rconst, "random_effective_points", counted_draw)
+    monkeypatch.setattr(rconst, "classify_vanishing", classify)
+    with pytest.raises(PrecisionLoss, match="only 2 of 4 battery rounds decisive"):
+        riemann_constant(engine)
+    assert len(draws) == 6 * cfg.battery_size + 10

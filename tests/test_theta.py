@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from trigjac.config import RunConfig
+from trigjac.errors import PrecisionLoss
 from trigjac.theta import (
     ThetaChar,
     classify_vanishing,
@@ -149,3 +150,9 @@ def test_property_quasi_periodicity_integer_lattice(m0, m1, n0, n1):
         base, _ = theta_value(z, tau)
         rhs = quasi_period_factor(ThetaChar.zero(2), z, tau, m, n) * base
         assert abs(lhs - rhs) < mp.mpf("1e-25") * (1 + abs(lhs))
+
+
+def test_indefinite_im_tau_is_a_precision_loss():
+    tau = mp.matrix([[1j, 0], [0, -1j]])
+    with pytest.raises(PrecisionLoss, match="not positive definite"):
+        theta_value([0, 0], tau)
