@@ -38,6 +38,7 @@ from .divisor import (
     verify_semicanonical,
 )
 from .errors import (
+    DegenerateBranching,
     PrecisionError,
     TrigjacError,
     ValidationError,
@@ -45,6 +46,7 @@ from .errors import (
 )
 from .fsdet import mu_coefficients, mu_divisor_check, psi
 from .periods import PeriodEngine
+from .polyutil import Poly, gcd, to_mp
 from .rconst import (
     match_published,
     random_effective_points,
@@ -141,43 +143,59 @@ def _emit_text(data, indent: int = 0) -> None:
 # -- input parsing -----------------------------------------------------------
 
 
-def _parse_branch_token(tok: str):
+def _parse_number(tok: str, what: str, exact: bool = False):
+    """One numeric token: a Fraction, or an mpc for a decimal or complex token.
+
+    A token without any of the characters ".jJeE()" is a rational such as
+    -3/2; any other is read by complex(), with i or j as the imaginary unit.
+    With exact=True every token is read as a rational (1.5 is 3/2).  A
+    malformed or non-finite token raises ValidationError.
+    """
     t = tok.strip()
-    if not t:
-        raise ValidationError("empty branch-point token")
-    if not any(c in t for c in ".jJeE()"):
-        try:
-            return Fraction(t)
-        except ValueError as exc:
-            raise ValidationError(f"cannot parse branch point {tok!r}") from exc
     try:
-        z = complex(t.replace("i", "j"))
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse branch point {tok!r}") from exc
-    return mp.mpc(z)
+        if exact or not any(c in t for c in ".jJeE()"):
+            return Fraction(t)
+        z = mp.mpc(complex(t.replace("i", "j")))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"cannot parse {what} {tok!r}") from exc
+    if not mp.isfinite(z):
+        raise ValidationError(f"{what} {tok!r} is not finite")
+    return z
+
+
+def _parse_complex(tok: str, what: str):
+    """A token of _parse_number as an mpc at the ambient precision."""
+    return mp.mpc(to_mp(_parse_number(tok, what)))
 
 
 def _branch_points(args, config: RunConfig):
     n_needed = args.r + args.s
     if getattr(args, "roots_of", None):
-        coeffs = [Fraction(t) for t in args.roots_of.split(",")]
-        with mp.workdps(config.working_dps):
-            roots = roots_of_poly(coeffs)
-        if len(roots) != n_needed:
+        coeffs = [
+            _parse_number(t, "--roots-of coefficient", exact=True)
+            for t in args.roots_of.split(",")
+        ]
+        if len(coeffs) != n_needed + 1 or coeffs[-1] == 0:
             raise ValidationError(
-                f"--roots-of yields {len(roots)} points, need {n_needed}"
+                f"--roots-of needs a degree-{n_needed} polynomial, got {args.roots_of!r}"
             )
-        return roots
+        f = Poly(coeffs)
+        if gcd(f, f.derivative()).degree > 0:
+            raise DegenerateBranching("--roots-of polynomial has a repeated root")
+        with mp.workdps(config.working_dps):
+            try:
+                return roots_of_poly(coeffs)
+            except mp.mp.NoConvergence as exc:
+                raise ValidationError(f"--roots-of roots did not converge: {exc}") from exc
     toks = list(args.branch or [])
     if len(toks) != n_needed:
         raise ValidationError(
             f"expected {n_needed} branch points for (r, s) = ({args.r}, {args.s}), got {len(toks)}"
         )
-    vals = [_parse_branch_token(t) for t in toks]
+    vals = [_parse_number(t, "branch point") for t in toks]
     if any(not isinstance(v, Fraction) for v in vals):
         with mp.workdps(config.working_dps):
-            vals = [mp.mpc(v.numerator) / v.denominator if isinstance(v, Fraction) else v
-                    for v in vals]
+            vals = [mp.mpc(to_mp(v)) for v in vals]
     return vals
 
 
@@ -349,14 +367,15 @@ def cmd_theta(args, config: RunConfig) -> tuple[dict, int]:
     curve = _make_curve(args, config)
     g = curve.genus
     char = _parse_char(args.char, g) if args.char else None
-    data = PeriodEngine(curve, config).compute()
     with mp.workdps(config.working_dps):
         if args.z:
-            zs = [mp.mpc(complex(t.replace("i", "j"))) for t in args.z.split(",")]
+            zs = [_parse_complex(t, "--z component") for t in args.z.split(",")]
             if len(zs) != g:
                 raise ValidationError(f"z needs {g} components")
         else:
             zs = [mp.mpc(0)] * g
+    data = PeriodEngine(curve, config).compute()
+    with mp.workdps(config.working_dps):
         value, scale = theta_value(zs, data.tau, char)
         band = classify_vanishing(abs(value), scale, config)
     report = {
@@ -403,16 +422,23 @@ def cmd_rc(args, config: RunConfig) -> tuple[dict, int]:
     return report, code
 
 
+def _parse_point(curve: TrigonalCurve, tok: str):
+    xs, comma, ss = tok.rpartition(",")
+    if not comma:
+        raise ValidationError(f"--points entry {tok!r} is not X,SHEET")
+    sheet = _parse_number(ss, "--points sheet", exact=True)
+    if sheet.denominator != 1:
+        raise ValidationError(f"--points sheet {ss!r} is not an integer")
+    return curve.point(_parse_complex(xs, "--points x"), sheet=int(sheet))
+
+
 def cmd_fs(args, config: RunConfig) -> tuple[dict, int]:
     curve = _make_curve(args, config)
     engine = PeriodEngine(curve, config)
     n = args.n if args.n is not None else max(curve.genus - 1, 1)
     with mp.workdps(config.working_dps):
         if args.points:
-            pts = []
-            for tok in args.points.split(";"):
-                xs, ss = tok.rsplit(",", 1)
-                pts.append(curve.point(mp.mpc(complex(xs.replace("i", "j"))), sheet=int(ss)))
+            pts = [_parse_point(curve, tok) for tok in args.points.split(";")]
             if args.n is not None and len(pts) != n:
                 raise ValidationError(f"--points gave {len(pts)} points, --n asked {n}")
             n = len(pts)

@@ -18,18 +18,19 @@ from dataclasses import dataclass, replace
 
 from .errors import ValidationError
 
+GUARD_DIGITS = 12        # extra digits used internally
+QUAD_MAX_LEVEL = 12      # tanh-sinh refinement ceiling
+ESCALATION_FACTOR = 2    # one-step precision escalation multiplier
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Container for precision and policy knobs shared across modules."""
 
     precision: int = 40            # working decimal digits
-    guard_digits: int = 12         # extra digits used internally
-    quad_max_level: int = 12       # tanh-sinh refinement ceiling
     cache_dir: str | None = None
     seed: int = 20260814           # base seed for deterministic sampling
     battery_size: int = 20         # random divisors per theta-divisor battery
-    escalation_factor: int = 2     # one-step precision escalation multiplier
 
     def __post_init__(self) -> None:
         if self.precision < 20:
@@ -37,7 +38,7 @@ class RunConfig:
 
     @property
     def working_dps(self) -> int:
-        return self.precision + self.guard_digits
+        return self.precision + GUARD_DIGITS
 
     @property
     def lattice_tol(self):
@@ -56,7 +57,7 @@ class RunConfig:
         return _ten_pow(-(self.precision // 4))
 
     def escalated(self) -> "RunConfig":
-        return replace(self, precision=self.precision * self.escalation_factor)
+        return replace(self, precision=self.precision * ESCALATION_FACTOR)
 
 
 def _ten_pow(e: int):

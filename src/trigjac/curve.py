@@ -34,13 +34,22 @@ from .errors import (
     SemigroupMismatch,
     ValidationError,
 )
-from .polyutil import Poly
+from .polyutil import Poly, root_product, to_mp
 
 CONVENTION = "w2=By;y2=Aw;wy=AB;v1"
 
 
-def _is_exact_scalar(v) -> bool:
+def is_exact_scalar(v) -> bool:
     return isinstance(v, (int, Fraction))
+
+
+def decisive_sheet(values) -> int | None:
+    """Index of the smallest of three per-sheet values, or None when it is
+    not below 1e-6 times the runner-up."""
+    order = sorted(range(len(values)), key=lambda k: values[k])
+    if values[order[0]] > mp.mpf("1e-6") * values[order[1]]:
+        return None
+    return order[0]
 
 
 class TrigonalCurve:
@@ -55,11 +64,11 @@ class TrigonalCurve:
             raise ValidationError("family genus r + s - 1 must be at least 1")
         self.r = int(r)
         self.s = int(s)
-        self.exact = all(_is_exact_scalar(b) for b in pts)
+        self.exact = all(is_exact_scalar(b) for b in pts)
         if self.exact:
             pts = tuple(Fraction(b) for b in pts)
         else:
-            pts = tuple(mp.mpmathify(b) for b in pts)
+            pts = tuple(mp.mpmathify(to_mp(b)) for b in pts)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if pts[i] == pts[j]:
@@ -67,9 +76,10 @@ class TrigonalCurve:
                         f"branch points {i + 1} and {j + 1} coincide ({pts[i]})"
                     )
         self.branch_points = pts
-        one = Fraction(1) if self.exact else mp.mpf(1)
-        self.A = Poly.from_roots(pts[: self.s], one=one)
-        self.B = Poly.from_roots(pts[self.s :], one=one)
+        # the unit of the coefficient field
+        self.one = Fraction(1) if self.exact else mp.mpf(1)
+        self.A = Poly.from_roots(pts[: self.s], one=self.one)
+        self.B = Poly.from_roots(pts[self.s :], one=self.one)
         self.AB = self.A * self.B
         self.AB2 = self.AB * self.B
         self.H = sgmod.family_semigroup(r, s)
@@ -118,28 +128,16 @@ class TrigonalCurve:
 
     # -- ring elements ---------------------------------------------------
 
-    def _zero_poly(self) -> Poly:
-        return Poly.zero()
-
     def element(self, p0=None, p1=None, p2=None, den=None) -> "RingElement":
         def as_poly(p):
             if p is None:
                 return Poly.zero()
             if isinstance(p, Poly):
                 return p
-            return Poly.const(Fraction(p) if _is_exact_scalar(p) else mp.mpmathify(p))
+            return Poly.const(Fraction(p) if is_exact_scalar(p) else mp.mpmathify(p))
 
         d = Poly.one() if den is None else (den if isinstance(den, Poly) else Poly.const(den))
         return RingElement(self, as_poly(p0), as_poly(p1), as_poly(p2), d)
-
-    def zero_elem(self) -> "RingElement":
-        return self.element()
-
-    def one_elem(self) -> "RingElement":
-        return self.element(p0=1)
-
-    def x_elem(self) -> "RingElement":
-        return self.element(p0=Poly.x())
 
     def w_elem(self) -> "RingElement":
         return self.element(p1=1)
@@ -194,15 +192,6 @@ class TrigonalCurve:
                     break
         return BasisTable(curve=self, name=name, max_weight=max_weight, rows=tuple(rows))
 
-    def rb_elements(self, count: int) -> list["RingElement"]:
-        """First `count` R^B basis elements f_0, f_1, ... ordered by weight."""
-        max_w = self.wt_w + self.wt_y + 3 * count + 3
-        rows = self.basis_RB(max_w).rows
-        while len(rows) < count:
-            max_w *= 2
-            rows = self.basis_RB(max_w).rows
-        return [self.monomial(*mon) for _, mon in rows[:count]]
-
     def holomorphic_form_codes(self) -> list[tuple[int, str]]:
         """The g holomorphic differentials f_i dx/(w y) as (a, kind) codes.
 
@@ -226,22 +215,16 @@ class TrigonalCurve:
     # -- numeric points ---------------------------------------------------
 
     def branch_points_mp(self) -> list:
-        if self.exact:
-            return [mp.mpf(b.numerator) / mp.mpf(b.denominator) * mp.mpf(1) + mp.mpc(0) for b in self.branch_points]
-        return [mp.mpc(b) for b in self.branch_points]
+        return [mp.mpc(to_mp(b)) for b in self.branch_points]
 
     def ab2_mp(self, x):
         """A(x) B(x)^2 evaluated with mpmath scalars."""
-        acc = mp.mpc(1)
-        for i, b in enumerate(self.branch_points_mp()):
-            acc *= (x - b) ** (1 if i < self.s else 2)
-        return acc
+        exponents = [self.branch_exponent(i) for i in range(self.n_branch)]
+        return root_product(self.branch_points_mp(), x, exponents)
 
     def ab_mp(self, x):
-        acc = mp.mpc(1)
-        for b in self.branch_points_mp():
-            acc *= x - b
-        return acc
+        """A(x) B(x) evaluated with mpmath scalars."""
+        return root_product(self.branch_points_mp(), x)
 
     def point(self, x, sheet: int = 0, w=None) -> "PointOnCurve":
         """Point over x on a labelled sheet.
@@ -293,7 +276,7 @@ class TrigonalCurve:
 def _shift_series(p: Poly, x0, K: int) -> Poly:
     """p(x0 + h) as an mpc Poly in h, truncated to K terms."""
     coeffs = []
-    q = Poly([mp.mpc(c) if not isinstance(c, Fraction) else mp.mpf(c.numerator) / c.denominator for c in p.coeffs])
+    q = Poly([mp.mpc(c) for c in p.to_mp().coeffs])
     fact = mp.mpf(1)
     for k in range(K):
         coeffs.append(q(x0) / fact)
@@ -388,10 +371,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return self.p0.is_zero() and self.p1.is_zero() and self.p2.is_zero()
 
-    def is_polynomial_part(self) -> bool:
-        """True when the denominator is trivial (element lies in R)."""
-        return self.den.degree == 0
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
@@ -443,10 +422,13 @@ class RingElement:
         return RingElement(self.curve, r0, r1, r2, self.den * other.den)
 
     def scale(self, c) -> "RingElement":
-        c = Fraction(c) if (self.curve.exact and _is_exact_scalar(c)) else c
-        return RingElement(
-            self.curve, self.p0.scale(c), self.p1.scale(c), self.p2.scale(c), self.den
-        )
+        parts = (self.p0, self.p1, self.p2)
+        if not is_exact_scalar(c):
+            # exact coefficients meet a numeric scalar through to_mp
+            parts = tuple(p.to_mp() for p in parts)
+        elif self.curve.exact:
+            c = Fraction(c)
+        return RingElement(self.curve, *(p.scale(c) for p in parts), self.den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -511,11 +493,15 @@ class RingElement:
             raise ValidationError("norm_poly requires a trivial denominator")
         c = self.curve
         p0, p1, p2 = self.p0, self.p1, self.p2
+        ab, ab2, a2b = c.AB, c.AB2, c.A * c.A * c.B
+        # numeric coefficients meet the exact curve polynomials through to_mp
+        if not all(is_exact_scalar(v) for p in (p0, p1, p2) for v in p.coeffs):
+            ab, ab2, a2b = ab.to_mp(), ab2.to_mp(), a2b.to_mp()
         n = (
             p0 * p0 * p0
-            + p1 * p1 * p1 * c.AB2
-            + p2 * p2 * p2 * c.A * c.AB
-            - (p0 * p1 * p2 * c.AB).scale(3)
+            + ab2 * (p1 * p1 * p1)
+            + a2b * (p2 * p2 * p2)
+            - Poly.const(3) * ab * p0 * p1 * p2
         )
         d0 = self.den.coeffs[0]
         return n.scale(1 / (d0 * d0 * d0)) if d0 != 1 else n
@@ -554,9 +540,7 @@ def _normalize_exact(p0: Poly, p1: Poly, p2: Poly, den: Poly):
 def _eval_mp(p: Poly, x):
     acc = mp.mpc(0)
     for c in reversed(p.coeffs):
-        if isinstance(c, Fraction):
-            c = mp.mpf(c.numerator) / c.denominator
-        acc = acc * x + c
+        acc = acc * x + to_mp(c)
     return acc
 
 
@@ -591,7 +575,7 @@ def roots_of_poly(coeffs: Sequence, extraprec: int = 40) -> list:
     Roots are computed with mpmath at the current working precision and sorted
     by (argument, modulus) rounded to 12 digits to make the order stable.
     """
-    cs = [mp.mpc(c) if not isinstance(c, (int, Fraction)) else mp.mpf(Fraction(c).numerator) / Fraction(c).denominator for c in coeffs]
+    cs = [to_mp(c) if is_exact_scalar(c) else mp.mpc(c) for c in coeffs]
     roots = mp.polyroots([c for c in reversed(cs)], maxsteps=200, extraprec=extraprec)
 
     def key(z):

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedSupport,
     ValidationError,
 )
-from .polyutil import Poly, squarefree_decomposition
+from .polyutil import Poly, deflate, squarefree_decomposition
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def _generic_zeros(e: RingElement, b_coeffs, tol):
         deflated = _to_mp_poly(norm)
         for bx, v in zip(bpts, branch_orders):
             for _ in range(v):
-                deflated = _deflate(deflated, bx)
+                deflated, _ = deflate(deflated, bx)
         rem_deg = len(deflated) - 1
     if rem_deg != expect - sum(branch_orders):
         raise RootAccountingFailure(
@@ -264,7 +264,7 @@ def _denominator_generic_poles(e: RingElement, tol):
         b = curve.branch_points[i]
         m = e.den.root_multiplicity(b, tol=None if curve.exact else tol)
         for _ in range(m):
-            den_mp = _deflate(den_mp, bx)
+            den_mp, _ = deflate(den_mp, bx)
     if len(den_mp) <= 1:
         return ()
     roots = mp.polyroots(list(reversed(den_mp)), maxsteps=200, extraprec=60)
@@ -276,24 +276,7 @@ def _denominator_generic_poles(e: RingElement, tol):
 
 
 def _to_mp_poly(p: Poly) -> list:
-
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            out.append(mp.mpf(c.numerator) / c.denominator + mp.mpc(0))
-        else:
-            out.append(mp.mpc(c))
-    return out
-
-
-def _deflate(coeffs: list, root) -> list:
-    """Synthetic division by (x - root); drops the remainder."""
-    out = [mp.mpc(0)] * (len(coeffs) - 1)
-    acc = mp.mpc(0)
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[k]
-        out[k - 1] = acc
-    return out
+    return [mp.mpc(c) for c in p.to_mp().coeffs]
 
 
 def _cluster(roots, tol):
@@ -374,11 +357,11 @@ def rr_space(D: Divisor) -> list[RingElement]:
             continue
         num_base = Poly.from_roots(
             [b for b, ci in zip(curve.branch_points, c) for _ in range(max(ci, 0))],
-            one=_field_one(curve),
+            one=curve.one,
         )
         den = Poly.from_roots(
             [b for b, ci in zip(curve.branch_points, c) for _ in range(max(-ci, 0))],
-            one=_field_one(curve),
+            one=curve.one,
         )
         for j in range(deg_cap + 1):
             q = num_base * (Poly.x() ** j)
@@ -394,11 +377,6 @@ def rr_space(D: Divisor) -> list[RingElement]:
                 )
             )
     return basis
-
-
-def _field_one(curve: TrigonalCurve):
-
-    return Fraction(1) if curve.exact else mp.mpf(1)
 
 
 def rr_dim(D: Divisor) -> int:

@@ -79,10 +79,6 @@ class PrecisionLoss(PrecisionError):
     """Residuals stayed above tolerance after one precision escalation."""
 
 
-class IllConditionedLattice(PrecisionError):
-    """Im(tau) is too ill-conditioned for reliable lattice reduction."""
-
-
 class RankDeficient(TrigjacError):
     """Candidate cycles span less than a full-rank unimodular symplectic lattice."""
 

@@ -6,8 +6,11 @@ Frobenius-Stickelberger determinant.  The ratio
 
     mu_n(Q) = psi_{n+1}(P_1, ..., P_n, Q) / psi_n(P_1, ..., P_n)
 
-is the unique monic element of R^B of weight N(n) vanishing at the P_i, and
-its remaining zeros Q_1, ..., Q_{N(n)-n-d1} close the divisor class relation
+is the unique monic element of R^B of weight N(n) vanishing at the P_i.
+mu_coefficients builds it as a curve.RingElement, the graded basis monomials
+weighted by its Cramer coefficients, so its evaluation and its norm to C[x]
+are the ring's own.  Its remaining zeros Q_1, ..., Q_{N(n)-n-d1} close the
+divisor class relation
 
     sum P_i + sum Q_i + (full branch sum) - N(n) P  ~  0,
 
@@ -21,11 +24,16 @@ the definition above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
-from .curve import PointOnCurve, TrigonalCurve, polyutil_mul_trunc
+from .curve import (
+    PointOnCurve,
+    RingElement,
+    TrigonalCurve,
+    decisive_sheet,
+    polyutil_mul_trunc,
+)
 from .divisor import frak_B, frak_B1, points_divisor
 from .errors import (
     BasisExhausted,
@@ -35,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .periods import PeriodEngine
-from .polyutil import Poly
+from .polyutil import Poly, deflate
 
 
 def _rb_rows(curve: TrigonalCurve, count: int, max_weight: int | None = None):
@@ -53,13 +61,6 @@ def _rb_rows(curve: TrigonalCurve, count: int, max_weight: int | None = None):
         max_w *= 2
         rows = curve.basis_RB(max_w).rows
     return list(rows[:count])
-
-
-def _mpc_poly(p: Poly) -> Poly:
-    return Poly([
-        mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpc(c)
-        for c in p.coeffs
-    ])
 
 
 def _group_points(points) -> list[tuple[PointOnCurve, int]]:
@@ -157,31 +158,16 @@ def psi(curve: TrigonalCurve, points, max_weight: int | None = None):
 class MuFunction:
     """Monic weight-N(n) interpolation element of R^B.
 
-    coefficients holds mu_{n,0}, ..., mu_{n,n} (the last is exactly 1); the
-    expansion reads f_n + sum_k (-1)^{n-k} mu_{n,k} f_k.  p0, p1, p2 give the
-    same element in the canonical form p0(x) + p1(x) w + p2(x) y.
+    coefficients holds mu_{n,0}, ..., mu_{n,n} (the last is exactly 1) over
+    the graded basis rows codes; element is the expansion
+    f_n + sum_k (-1)^{n-k} mu_{n,k} f_k as a RingElement.
     """
 
-    curve: TrigonalCurve
     n: int
     order: int
     coefficients: tuple
     codes: tuple
-    p0: Poly
-    p1: Poly
-    p2: Poly
-
-    def value(self, pt: PointOnCurve):
-        return self.p0(pt.x) + self.p1(pt.x) * pt.w + self.p2(pt.x) * pt.y
-
-    def norm_poly(self) -> Poly:
-        """Product over the three sheets; a degree-N(n) polynomial in x."""
-        ab = _mpc_poly(self.curve.AB)
-        w3 = _mpc_poly(self.curve.AB2)
-        y3 = _mpc_poly(self.curve.A * self.curve.A * self.curve.B)
-        p, q, t = self.p0, self.p1, self.p2
-        return (p * p * p + w3 * (q * q * q) + y3 * (t * t * t)
-                - Poly([mp.mpc(3)]) * ab * p * q * t)
+    element: RingElement
 
 
 def mu_coefficients(curve: TrigonalCurve, points) -> MuFunction:
@@ -204,26 +190,15 @@ def mu_coefficients(curve: TrigonalCurve, points) -> MuFunction:
             f"|psi_n| = {mp.nstr(abs(psi_n), 5)} below the general-position floor"
         )
     mus = [minors[k][0] / psi_n for k in range(n)] + [mp.mpc(1)]
-    zero = Poly([])
-    p0, p1, p2 = zero, zero, zero
-    for k, (_, (a, b, c)) in enumerate(codes):
-        ck = mp.mpc(-1) ** (n - k) * mus[k]
-        mono = Poly([mp.mpc(0)] * a + [ck])
-        if (b, c) == (1, 1):
-            p0 = p0 + mono * _mpc_poly(curve.AB)
-        elif (b, c) == (1, 0):
-            p1 = p1 + mono
-        else:
-            p2 = p2 + mono
+    element = curve.element()
+    for k, (_, code) in enumerate(codes):
+        element = element + curve.monomial(*code).scale(mp.mpc(-1) ** (n - k) * mus[k])
     return MuFunction(
-        curve=curve,
         n=n,
         order=codes[n][0],
         coefficients=tuple(mus),
         codes=tuple(codes),
-        p0=p0,
-        p1=p1,
-        p2=p2,
+        element=element,
     )
 
 
@@ -258,11 +233,11 @@ def mu_divisor_check(engine: PeriodEngine, points) -> dict:
     n = len(points)
     if n < 1:
         raise ValidationError("mu_divisor_check needs at least one point")
-    with mp.workdps(config.precision + config.guard_digits):
+    with mp.workdps(config.working_dps):
         mufn = mu_coefficients(curve, points)
         N = mufn.order
         d1 = curve.s + curve.r
-        norm = mufn.norm_poly()
+        norm = mufn.element.norm_poly()
         if len(norm.coeffs) != N + 1:
             raise RootAccountingFailure(
                 f"norm polynomial degree {len(norm.coeffs) - 1}, expected {N}"
@@ -276,18 +251,14 @@ def mu_divisor_check(engine: PeriodEngine, points) -> dict:
             # sees the (generically simple) complementary zeros
             nonlocal coeffs
             x0 = mp.mpc(x0)
-            b = [mp.mpc(0)] * (len(coeffs) - 1)
-            b[-1] = coeffs[-1]
-            for k in range(len(coeffs) - 2, 0, -1):
-                b[k - 1] = coeffs[k] + x0 * b[k]
-            residue = coeffs[0] + x0 * b[0]
+            quotient, residue = deflate(coeffs, x0)
             scale = sum(abs(c) * abs(x0) ** k for k, c in enumerate(coeffs))
             if abs(residue) > match_tol * (1 + scale):
                 raise RootAccountingFailure(
                     f"norm does not vanish at known root {mp.nstr(mp.mpc(x0), 8)}"
                     f" (residue {mp.nstr(abs(residue), 3)})"
                 )
-            coeffs = b
+            coeffs = quotient
 
         for pt in points:
             deflate_known(pt.x)
@@ -314,13 +285,12 @@ def mu_divisor_check(engine: PeriodEngine, points) -> dict:
                 q_branch.append(ib)
                 continue
             cands = [curve.point(x0, sheet=k) for k in range(3)]
-            vals = [abs(mufn.value(c)) for c in cands]
-            order = sorted(range(3), key=lambda k: vals[k])
-            if vals[order[0]] > mp.mpf("1e-6") * vals[order[1]]:
+            k = decisive_sheet([abs(mufn.element.evaluate(c)) for c in cands])
+            if k is None:
                 raise GeneralPositionFailure(
                     f"no decisive vanishing sheet over x = {mp.nstr(mp.mpc(x0), 8)}"
                 )
-            q_points.append(cands[order[0]])
+            q_points.append(cands[k])
 
         # every zero of mu_n off the full branch sum: the inputs and the leftovers
         q_b = [0] * curve.n_branch

@@ -38,8 +38,8 @@ from typing import Sequence
 import mpmath as mp
 from mpmath.calculus.quadrature import GaussLegendre
 
-from .config import DEFAULT_CONFIG, RunConfig
-from .curve import PointOnCurve, TrigonalCurve
+from .config import DEFAULT_CONFIG, GUARD_DIGITS, QUAD_MAX_LEVEL, RunConfig
+from .curve import PointOnCurve, TrigonalCurve, decisive_sheet
 from .divisor import Divisor
 from .errors import PathCrossesBranchPoint, PrecisionLoss, VerificationError
 from .homology import (
@@ -51,6 +51,7 @@ from .homology import (
     seg_point_dist,
     symplectic_basis,
 )
+from .polyutil import root_product
 from .quadrature import tanh_sinh_batch
 from .theta import imag_cholesky
 
@@ -94,15 +95,6 @@ def _matrix_from_json(rows) -> mp.matrix:
         for j, v in enumerate(row):
             M[i, j] = _mpc_from_json(v)
     return M
-
-
-def _poly_eval_roots(roots: Sequence, x, mults: Sequence[int] | None = None):
-    """Monic product prod (x - root)^mult, every mult 1 unless given; stable
-    arbitrarily far from roots."""
-    v = mp.mpc(1)
-    for i, b in enumerate(roots):
-        v *= x - b if mults is None else (x - b) ** mults[i]
-    return v
 
 
 def _cuberoot_along(roots, mults, x1, w1):
@@ -240,9 +232,6 @@ class PeriodEngine:
 
     # -- infrastructure -------------------------------------------------
 
-    def _wdps(self):
-        return mp.workdps(self.config.precision + self.config.guard_digits)
-
     def cache_key(self) -> str:
         ident = f"{CACHE_FORMAT}|{self.curve.fingerprint()}"
         return hashlib.sha256(ident.encode()).hexdigest()[:20]
@@ -255,7 +244,7 @@ class PeriodEngine:
     # -- integrals ------------------------------------------------------
 
     def _w0_at(self, x):
-        return mp.exp(mp.log(_poly_eval_roots(self._roots, x, self._mults)) / 3)
+        return mp.exp(mp.log(root_product(self._roots, x, self._mults)) / 3)
 
     def _branch_segment(self, geo: BaseGeometry, pos: int):
         """Chord integrals from x0 to ray pos for all g forms."""
@@ -267,7 +256,7 @@ class PeriodEngine:
         d = b - x0
         h_roots = [rt for i, rt in enumerate(roots) if i != bidx]
         h_mults = [mu for i, mu in enumerate(self._mults) if i != bidx]
-        h0 = mp.exp(mp.log(_poly_eval_roots(h_roots, x0, h_mults)) / 3)
+        h0 = mp.exp(mp.log(root_product(h_roots, x0, h_mults)) / 3)
         C = self._w0_at(x0) / h0
         h_at = _cuberoot_along(h_roots, h_mults, x0, h0)
         forms = self.forms
@@ -280,7 +269,7 @@ class PeriodEngine:
                 # full precision arbitrarily close to b
                 x = b - d * comp if comp < mp.mpf("0.5") else x0 + d * u
                 w = C * h_at(x) * comp**third
-                ab = -d * comp * _poly_eval_roots(h_roots, x)
+                ab = -d * comp * root_product(h_roots, x)
                 out.append(_form_values(forms, x, w, ab, d))
             return out
 
@@ -288,7 +277,7 @@ class PeriodEngine:
             eval_batch,
             len(forms),
             self.config.quad_tol,
-            self.config.quad_max_level,
+            QUAD_MAX_LEVEL,
             sing_order=mp.mpf(2) / 3,
         )
 
@@ -305,7 +294,7 @@ class PeriodEngine:
             for u, comp in nodes:
                 x = x0 + d * (1 - comp) / comp
                 w = w_at(x)
-                ab = _poly_eval_roots(roots, x)
+                ab = root_product(roots, x)
                 out.append(_form_values(forms, x, w, ab, d / comp**2))
             return out
 
@@ -313,7 +302,7 @@ class PeriodEngine:
             eval_batch,
             len(forms),
             self.config.quad_tol,
-            self.config.quad_max_level,
+            QUAD_MAX_LEVEL,
             sing_order=mp.mpf(2) / 3,
         )
 
@@ -332,7 +321,7 @@ class PeriodEngine:
         for c, h in pieces:
             for s, wt in rule:
                 x = c + h * s
-                ab = _poly_eval_roots(roots, x)
+                ab = root_product(roots, x)
                 vals = _form_values(self.forms, x, w_at(x), ab, h * wt)
                 totals = [t + v for t, v in zip(totals, vals)]
         return totals, w_at(x2)
@@ -377,7 +366,7 @@ class PeriodEngine:
     def _compute_once(self, config: RunConfig) -> PeriodData:
         curve = self.curve
         g = curve.genus
-        with mp.workdps(config.precision + config.guard_digits):
+        with mp.workdps(config.working_dps):
             geo = choose_base_geometry([complex(b) for b in self._roots], self._mults)
             words = candidate_words(geo.m)
             K = intersection_matrix(words, geo.m)
@@ -481,21 +470,21 @@ class PeriodEngine:
 
     # -- derived quantities ----------------------------------------------
 
-    def tau(self) -> mp.matrix:
-        return self.compute().tau
-
     def _normalized(self, raw: list) -> list:
         data = self.compute()
         col = mp.matrix(len(raw), 1)
         for i, v in enumerate(raw):
             col[i, 0] = v
         out = mp.lu_solve(data.omega_alpha, col)
-        return [out[i, 0] for i in range(len(raw))]
+        # lu_solve carries guard bits past the ambient precision; rounding
+        # here gives every Abel value a working-precision mantissa, so a sum
+        # of them comes out the same however it is assembled
+        return [+out[i, 0] for i in range(len(raw))]
 
     def abel_branch(self, i: int) -> list:
         """Normalized Abel map of the i-th branch point, based at infinity."""
         data = self.compute()
-        with self._wdps():
+        with mp.workdps(self.config.working_dps):
             pos = data.geo.order.index(i)
             g = self.curve.genus
             raw = [
@@ -541,7 +530,7 @@ class PeriodEngine:
         """Normalized Abel map of a smooth affine point, based at infinity."""
         data = self.compute()
         g = self.curve.genus
-        with self._wdps():
+        with mp.workdps(self.config.working_dps):
             pts = self._plan_path(pt.x)
             totals = [mp.mpc(0)] * g
             w_run = self._w0_at(pts[0])
@@ -552,13 +541,12 @@ class PeriodEngine:
             # identify the sheet shift of the requested lift
             zeta = mp.exp(2j * mp.pi / 3)
             dists = [abs(pt.w - zeta**k * w_run) for k in range(3)]
-            order = sorted(range(3), key=lambda k: dists[k])
             # sheets are separated by |w|*sqrt(3); demand a clear winner
-            if dists[order[0]] > mp.mpf("1e-6") * dists[order[1]]:
+            j = decisive_sheet(dists)
+            if j is None:
                 raise VerificationError(
                     f"ambiguous sheet for point: offsets {[mp.nstr(d, 5) for d in dists]}"
                 )
-            j = order[0]
             raw = []
             for l in range(g):
                 a, kind = self.forms[l]
@@ -568,7 +556,7 @@ class PeriodEngine:
     def abel_divisor(self, D: Divisor) -> list:
         """Normalized Abel map of a divisor, based at infinity (P maps to 0)."""
         g = self.curve.genus
-        with self._wdps():
+        with mp.workdps(self.config.working_dps):
             total = [mp.mpc(0)] * g
             for i, c in enumerate(D.b):
                 if c:
@@ -585,7 +573,7 @@ class PeriodEngine:
         """Reduce a normalized vector modulo Z^g + tau Z^g."""
         data = self.compute()
         g = self.curve.genus
-        with self._wdps():
+        with mp.workdps(self.config.working_dps):
             tau = data.tau
             Y, _ = imag_cholesky(tau)
             col = mp.matrix([mp.mpc(x).imag for x in v])
@@ -648,7 +636,7 @@ class PeriodEngine:
             return None
         # deserialization rounds to the ambient precision; restore at the
         # precision the data was computed with so the bits survive exactly
-        with mp.workdps(int(payload["precision"]) + self.config.guard_digits):
+        with mp.workdps(int(payload["precision"]) + GUARD_DIGITS):
             return self._load_payload(payload)
 
     def _load_payload(self, payload) -> PeriodData:

@@ -4,12 +4,57 @@ Used with fractions.Fraction for the exact layer and with mpmath mpf/mpc for
 the numeric layer.  Coefficients are stored low degree first and trimmed by
 exact equality with 0, which is meaningful for both coefficient types (mpmath
 zeros compare exactly).  Nothing here assumes ordering of the field.
+
+The kernels the two layers share live here as well: to_mp, the one door from
+exact scalars into mpmath; root_product, a monic polynomial evaluated from its
+roots; and deflate, synthetic division by a linear factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import mpmath as mp
+
+
+def to_mp(c):
+    """An exact scalar (int or Fraction) as mp.mpf(numerator) / denominator.
+
+    The division rounds once, to nearest, at the ambient precision.
+    mp.mpmathify, and mpmath arithmetic that meets a Fraction operand, round
+    a Fraction by another rule, so exact values enter the numeric layer only
+    through here.  Any other value is returned unchanged.
+    """
+    if isinstance(c, (int, Fraction)):
+        return mp.mpf(c.numerator) / c.denominator
+    return c
+
+
+def root_product(roots: Sequence, x, mults: Sequence[int] | None = None):
+    """The monic product prod (x - root)^mult, every mult 1 unless given.
+
+    Unlike the expanded coefficients, the product of the linear factors stays
+    accurate arbitrarily far from the roots.
+    """
+    v = mp.mpc(1)
+    for i, b in enumerate(roots):
+        v *= x - b if mults is None else (x - b) ** mults[i]
+    return v
+
+
+def deflate(coeffs: Sequence, root) -> tuple[list, object]:
+    """Synthetic division of sum c_k x^k (low degree first) by (x - root).
+
+    Returns (quotient coefficients, remainder); the remainder is the value of
+    the polynomial at root.
+    """
+    acc = coeffs[-1]
+    quotient = []
+    for c in reversed(coeffs[:-1]):
+        quotient.append(acc)
+        acc = acc * root + c
+    return quotient[::-1], acc
 
 
 class Poly:
@@ -105,6 +150,10 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         return Poly([c * a for a in self.coeffs])
+
+    def to_mp(self) -> "Poly":
+        """The same polynomial with every exact coefficient passed through to_mp."""
+        return Poly([to_mp(c) for c in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

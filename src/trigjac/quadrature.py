@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 
+from .polyutil import to_mp
+
 
 @dataclass
 class QuadResult:
@@ -41,9 +43,7 @@ def _nodes_at_level(level: int, eps_w, sing_order) -> list[tuple[Fraction, objec
     below eps_w, gap being the distance to the nearer endpoint.
     """
     h = mp.mpf(2) ** (-level)
-    if isinstance(sing_order, Fraction):
-        sing_order = mp.mpf(sing_order.numerator) / sing_order.denominator
-    q = mp.mpf(sing_order) + mp.mpf(1) / 8
+    q = mp.mpf(to_mp(sing_order)) + mp.mpf(1) / 8
     out = []
     k = 0
     while True:

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .curve import PointOnCurve, TrigonalCurve
+from .curve import PointOnCurve, TrigonalCurve, is_exact_scalar
 from .divisor import canonical_divisor, frak_B, points_divisor
 from .errors import (
     AmbiguousCandidate,
@@ -89,7 +89,7 @@ def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
     config = engine.config
     g = curve.genus
     data = engine.compute()
-    with mp.workdps(config.precision + config.guard_digits):
+    with mp.workdps(config.working_dps):
         acan = engine.abel_divisor(canonical_divisor(curve))
         base = [-v / 2 for v in acan]
         chars = list(half_characteristics(g))
@@ -147,7 +147,7 @@ def characteristic_of(engine: PeriodEngine, v) -> tuple[ThetaChar, object]:
     distance of 2v.
     """
     config = engine.config
-    with mp.workdps(config.precision + config.guard_digits):
+    with mp.workdps(config.working_dps):
         red = engine.lattice_reduce([2 * x for x in v])
         return ThetaChar.half_from_bits(red.n, red.m), red.dist / 2
 
@@ -161,7 +161,7 @@ def shifted_constant(engine: PeriodEngine) -> ShiftedConstant:
     config = engine.config
     g = curve.genus
     rc = riemann_constant(engine)
-    with mp.workdps(config.precision + config.guard_digits):
+    with mp.workdps(config.working_dps):
         aB = engine.abel_divisor(frak_B(curve))
         delta_s = tuple(rc.delta[l] - aB[l] for l in range(g))
         char, residual = characteristic_of(engine, delta_s)
@@ -199,7 +199,7 @@ def published_characteristic(curve: TrigonalCurve) -> ThetaChar | None:
     # accept the exact rational polynomial x^4 + 1 or a numeric version of it
     target = [1, 0, 0, 0, 1]
     for c, t in zip(coeffs, target):
-        if _is_exact_coeff(c):
+        if is_exact_scalar(c):
             if c != t:
                 return None
         elif abs(mp.mpc(c) - t) > mp.mpf("1e-30"):
@@ -207,10 +207,6 @@ def published_characteristic(curve: TrigonalCurve) -> ThetaChar | None:
     h = Fraction(1, 2)
     z = Fraction(0)
     return ThetaChar(top=(z, h, z), bottom=(z, h, z))
-
-
-def _is_exact_coeff(c) -> bool:
-    return isinstance(c, (int, Fraction))
 
 
 def match_published(engine: PeriodEngine) -> dict:
@@ -279,7 +275,7 @@ def verify_shifted(engine: PeriodEngine, rounds: int | None = None,
         "unshifted_is_half_period": sc.unshifted_is_half_period,
         "parity_formula": sc.char.parity(),
     }
-    with mp.workdps(config.precision + config.guard_digits):
+    with mp.workdps(config.working_dps):
         B = frak_B(curve)
         rng = random.Random(config.seed + 1)
         worst_vanish = mp.mpf(0)

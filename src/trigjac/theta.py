@@ -22,6 +22,7 @@ import mpmath as mp
 
 from .config import RunConfig
 from .errors import PrecisionLoss
+from .polyutil import to_mp
 
 
 @dataclass(frozen=True)
@@ -62,16 +63,15 @@ class ThetaChar:
         s = 4 * sum(a * b for a, b in zip(self.top, self.bottom))
         return -1 if s % 2 else 1
 
+    def entries_mp(self) -> tuple[list, list]:
+        """(d', d'') as mpf lists at the ambient precision."""
+        return [to_mp(v) for v in self.top], [to_mp(v) for v in self.bottom]
+
     def vector(self, tau) -> list:
         """The point tau*d' + d'' in C^g."""
         g = self.genus
-        out = []
-        for i in range(g):
-            v = mp.mpc(self.bottom[i].numerator) / self.bottom[i].denominator
-            for j in range(g):
-                v += tau[i, j] * mp.mpc(self.top[j].numerator) / self.top[j].denominator
-            out.append(v)
-        return out
+        dp, dq = self.entries_mp()
+        return [sum((tau[i, j] * dp[j] for j in range(g)), dq[i]) for i in range(g)]
 
     def to_json(self) -> dict:
         return {
@@ -154,8 +154,7 @@ def theta_value(z: Sequence, tau, char: ThetaChar | None = None):
     if char.genus != g:
         raise ValueError("characteristic size does not match tau")
     zv = [mp.mpc(v) for v in z]
-    dp = [mp.mpf(c.numerator) / c.denominator for c in char.top]
-    dq = [mp.mpf(c.numerator) / c.denominator for c in char.bottom]
+    dp, dq = char.entries_mp()
 
     Y, L = imag_cholesky(tau)
     R = L.T
@@ -195,8 +194,7 @@ def quasi_period_factor(char: ThetaChar, z: Sequence, tau, m: Sequence[int], n0:
     factor = exp(2 pi i (d'.n0 - m.(z+d'') - m.tau.m/2)).
     """
     g = char.genus
-    dp = [mp.mpf(c.numerator) / c.denominator for c in char.top]
-    dq = [mp.mpf(c.numerator) / c.denominator for c in char.bottom]
+    dp, dq = char.entries_mp()
     expo = mp.mpc(0)
     for i in range(g):
         expo += dp[i] * n0[i] - m[i] * (mp.mpc(z[i]) + dq[i])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -10,6 +12,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import trigjac
@@ -184,6 +188,60 @@ def test_precision_below_floor_is_a_validation_error(capsys):
     assert "at least 20" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["curve", "1", "2", "0", "1", "--roots-of", "x"], "cannot parse"),
+    (["curve", "1", "2", "0", "1", "1e400"], "not finite"),
+    (["curve", "1", "2", "0", "1", "1/0"], "cannot parse"),
+    (["curve", "1", "2", "--roots-of", "1,2,1,0"], "degree-3 polynomial"),
+    (["curve", "0", "2", "--roots-of", "1,2,1"], "repeated root"),
+    (["curve", "0", "2", "--roots-of", "1e300,1,1"], "did not converge"),
+    (["theta", "--z", "abc", "1", "2", "0", "1", "--", "-1"], "cannot parse"),
+    (["theta", "--z", "0,nanj", "1", "2", "0", "1", "--", "-1"], "not finite"),
+    (["fs", "--points", "bad", "1", "2", "0", "1", "--", "-1"], "X,SHEET"),
+    (["fs", "--points", "0.3,x", "1", "2", "0", "1", "--", "-1"], "cannot parse"),
+    (["fs", "--points", "0.3,1/2", "1", "2", "0", "1", "--", "-1"], "not an integer"),
+])
+def test_malformed_numbers_are_validation_errors(capsys, monkeypatch, argv, message):
+    # every input is rejected before any period is computed
+    def no_compute(self, force=False):
+        raise AssertionError("periods computed before the input was checked")
+
+    monkeypatch.setattr(PeriodEngine, "compute", no_compute)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VALIDATION, err
+    assert out == "" and message in err and "Traceback" not in err
+
+
+number_tokens = st.one_of(
+    st.fractions(max_denominator=50).map(str),
+    st.floats().map(repr),
+    st.complex_numbers().map(str),
+    st.text(alphabet="0123456789/.+-eEjJi()x ", max_size=8),
+).filter(lambda t: t != "--")
+
+
+@given(
+    st.sampled_from([(1, 2), (0, 2), (2, 1), (1, 1), (0, 4)]),
+    st.lists(number_tokens, max_size=5),
+    st.none() | st.text(alphabet="0123456789/.,-e ", max_size=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_property_curve_argv_exits_0_or_2(rs, tokens, roots_of):
+    # curve computes no periods, so arbitrary argv stays cheap
+    argv = ["curve"]
+    if roots_of is not None:
+        argv.append(f"--roots-of={roots_of}")
+    argv += [str(rs[0]), str(rs[1]), "--", *tokens]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION), (argv, err.getvalue())
+    if code == EXIT_VALIDATION:
+        assert out.getvalue() == "" and "validation error" in err.getvalue()
+    else:
+        assert json.loads(out.getvalue())["genus"] == rs[0] + rs[1] - 1
+
+
 def test_rc_shifted_constant(capsys, cache_dir):
     code, out, _ = run(
         capsys, "--precision", "20", "--cache-dir", cache_dir, "rc", *CURVE12
@@ -281,7 +339,8 @@ def _assert_matches_golden(got, want, tols, path="report"):
 @pytest.mark.parametrize("golden, precision, argv", [
     ("verify_1_2_p20.json", 20, ["verify", *CURVE12]),
     ("fs_1_3_p40.json", 40, ["fs", "1", "3", "0", "1", "-1", "2"]),
-], ids=["verify", "fs"])
+    ("fs_1_2_third_p40.json", 40, ["fs", "1", "2", "0", "1/3", "--", "-1"]),
+], ids=["verify", "fs", "fs-non-dyadic"])
 def test_report_matches_golden_output(capsys, golden, precision, argv):
     code, out, err = run(capsys, "--precision", str(precision), *argv)
     assert code == EXIT_OK, err

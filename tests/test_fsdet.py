@@ -65,7 +65,7 @@ def test_mu_direct_ratio_matches_coefficient_path(curve, config40):
         for k in range(10):
             q = pts_on(curve, 1, seed=100 + k)[0]
             direct = mu(curve, base, q)
-            via_coeffs = fn.value(q)
+            via_coeffs = fn.element.evaluate(q)
             assert abs(direct - via_coeffs) < tol * (1 + abs(direct))
 
 
@@ -75,7 +75,7 @@ def test_mu_vanishes_at_inputs(curve, config40):
         fn = mu_coefficients(curve, base)
         for pt in base:
             assert abs(mu(curve, base, pt)) == 0
-            assert abs(fn.value(pt)) < mp.mpf("1e-33")
+            assert abs(fn.element.evaluate(pt)) < mp.mpf("1e-33")
         assert fn.coefficients[-1] == 1
 
 
@@ -84,7 +84,7 @@ def test_norm_degree_is_weight(curve, config40):
         for n, order in [(1, 5), (2, 7), (3, 8)]:
             fn = mu_coefficients(curve, pts_on(curve, n, seed=20 + n))
             assert fn.order == order
-            assert fn.norm_poly().degree == order
+            assert fn.element.norm_poly().degree == order
 
 
 def test_confluent_matches_close_points(curve, config40):

@@ -4,6 +4,7 @@ plain-chord quadrature against a tanh-sinh reference, and the period cache."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,12 @@ from mpmath import mp
 
 from trigjac import periods
 from trigjac.curve import TrigonalCurve
-from trigjac.divisor import frak_B, place_P, principal_divisor
+from trigjac.divisor import frak_B, place_P, points_divisor, principal_divisor
 from trigjac.errors import PathCrossesBranchPoint
 from trigjac.periods import PeriodEngine, _gauss_legendre_rule, _split_chord
 from trigjac.config import RunConfig
 from trigjac.quadrature import tanh_sinh_batch
+from trigjac.rconst import random_effective_points
 
 
 def imag_matrix(tau, g):
@@ -82,6 +84,24 @@ def test_frak_b_is_nontrivial_torsion(engine12, config40):
         v = engine12.abel_divisor(frak_B(engine12.curve) - place_P(engine12.curve, 1))
         assert engine12.lattice_reduce(v).dist > mp.mpf("0.01")
         assert engine12.lattice_reduce([3 * c for c in v]).dist < tol
+
+
+def test_abel_values_round_to_working_precision(engine12, config40):
+    # a value with a longer mantissa than mp.prec is rounded by its first
+    # use, even 1 * v, so the same Abel sum assembled two ways would differ
+    def mantissa_bits(z):
+        return max(z.real._mpf_[3], z.imag._mpf_[3])
+
+    curve = engine12.curve
+    with mp.workdps(config40.working_dps):
+        pts = random_effective_points(curve, 3, random.Random(7))
+        values = [engine12.abel_point(pt) for pt in pts]
+        values += [engine12.abel_branch(i) for i in range(curve.n_branch)]
+        assert all(mantissa_bits(c) <= mp.prec for v in values for c in v)
+        total = values[0]
+        for v in values[1 : len(pts)]:
+            total = [t + c for t, c in zip(total, v)]
+        assert engine12.abel_divisor(points_divisor(curve, pts)) == total
 
 
 def test_lattice_reduce_roundtrip(engine12, config40):
