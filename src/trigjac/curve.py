@@ -574,11 +574,31 @@ def roots_of_poly(coeffs: Sequence, extraprec: int = 40) -> list:
 
     Roots are computed with mpmath at the current working precision and sorted
     by (argument, modulus) rounded to 12 digits to make the order stable.
+    Before the solve x = 2^e y, with 2^e the power of two nearest the root
+    bound max_k |c_k / c_n|^(1/(n-k)), so the largest roots in y lie near the
+    unit circle; the scaled coefficients are exact, and e = 0 leaves them as
+    given.  Roots spread over so many decades that the scaled solve fails are
+    solved unscaled.
     """
     cs = [to_mp(c) if is_exact_scalar(c) else mp.mpc(c) for c in coeffs]
-    roots = mp.polyroots([c for c in reversed(cs)], maxsteps=200, extraprec=extraprec)
+    n = len(cs) - 1
+    log_bounds = [(mp.log(abs(c), 2) - mp.log(abs(cs[n]), 2)) / (n - k)
+                  for k, c in enumerate(cs[:n]) if c]
+    e = int(mp.nint(max(log_bounds, default=0)))
+
+    def solve(shift):
+        scaled = [c * mp.ldexp(1, shift * k) for k, c in enumerate(cs)]
+        roots = mp.polyroots(scaled[::-1], maxsteps=200, extraprec=extraprec)
+        return [mp.mpc(z) * mp.ldexp(1, shift) for z in roots]
+
+    try:
+        roots = solve(e)
+    except mp.mp.NoConvergence:
+        if not e:
+            raise
+        roots = solve(0)
 
     def key(z):
         return (round(float(mp.arg(z)), 12), round(float(abs(z)), 12))
 
-    return sorted((mp.mpc(z) for z in roots), key=key)
+    return sorted(roots, key=key)

@@ -84,4 +84,4 @@ class RankDeficient(TrigjacError):
 
 
 class PathCrossesBranchPoint(TrigjacError):
-    """An integration path could not be routed away from the branch locus."""
+    """An integration chord passes through a branch root."""

@@ -7,15 +7,17 @@ w(x1) * exp(1/3 sum_b m_b Log((x-b)/(x1-b))).  Each factor runs along a
 segment from 1 that never meets the cut (-inf, 0] while the chord misses b, so
 the principal logs give the exact continuation without subdivision.
 
-Plain chords (the Abel map of a smooth point) are analytic.  Each is bisected
-into pieces no longer than the distance from their centre to the nearest
-root, and every piece is integrated with one Gauss-Legendre rule whose node
-count is fixed in advance by the working precision.  Tanh-sinh quadrature
-serves only the chords with endpoint singularities: the branch chords and the
-tail to infinity.  On a chord ending at a branch point b the vanishing factor
-(x-b)^m is split off and handled in closed form, so evaluation keeps full
-precision arbitrarily close to b and the integrand exposes only the
-integrable power (1-u)^(m/3 - 1) that tanh-sinh absorbs.
+The Abel map of a smooth point integrates the one straight chord from the
+base point x0 to it.  Such a plain chord is analytic.  It is bisected into
+pieces no longer than the distance from their centre to the nearest root, and
+every piece is integrated with one Gauss-Legendre rule whose node count is
+fixed in advance by the working precision; a chord that grazes a root only
+needs more pieces, and one through a root raises PathCrossesBranchPoint.
+Tanh-sinh quadrature serves only the chords with endpoint singularities: the
+branch chords and the tail to infinity.  On a chord ending at a branch point b
+the vanishing factor (x-b)^m is split off and handled in closed form, so
+evaluation keeps full precision arbitrarily close to b and the integrand
+exposes only the integrable power (1-u)^(m/3 - 1) that tanh-sinh absorbs.
 
 A cycle is a lifted loop word; winding around a branch point only multiplies
 1/y and 1/w by a cube root of unity, so every cycle period is a small integer
@@ -23,6 +25,10 @@ linear combination of the g*(number of rays) chord integrals I[form][ray].
 Abel maps from the totally ramified point over infinity reuse one tail
 integral for the same reason: the lift of the planar path through sheet j
 multiplies the whole reference integral by the character of j.
+
+The period cache stores only the chord integrals, the output of the
+quadrature.  The homology basis, the cycle periods and tau are re-derived from
+them on load by the same assembly code the cold computation runs.
 """
 
 from __future__ import annotations
@@ -44,11 +50,9 @@ from .divisor import Divisor
 from .errors import PathCrossesBranchPoint, PrecisionLoss, VerificationError
 from .homology import (
     BaseGeometry,
-    LoopWord,
     candidate_words,
     choose_base_geometry,
     intersection_matrix,
-    seg_point_dist,
     symplectic_basis,
 )
 from .polyutil import root_product
@@ -65,12 +69,13 @@ def _mpf_to_json(x) -> list:
 
 
 def _mpf_from_json(t) -> mp.mpf:
-    return mp.mpf((int(t[0]), int(t[1]), int(t[2]), int(t[3])))
+    sign, man, exp, bc = t
+    if not (isinstance(man, str) and all(type(v) is int for v in (sign, exp, bc))):
+        raise TypeError(f"not a raw-mantissa entry: {t!r}")
+    return mp.mpf((sign, int(man), exp, bc))
 
 
 def _mpc_to_json(z) -> list:
-    if not hasattr(z, "real"):
-        z = mp.mpc(z)
     return [_mpf_to_json(z.real), _mpf_to_json(z.imag)]
 
 
@@ -78,19 +83,14 @@ def _mpc_from_json(t) -> mp.mpc:
     return mp.mpc(_mpf_from_json(t[0]), _mpf_from_json(t[1]))
 
 
-def _diag_from_json(v):
-    # scalar diagnostics are raw-mantissa 4-lists; quadrature level lists are ints
-    if isinstance(v, list) and len(v) == 4 and isinstance(v[1], str):
-        return _mpf_from_json(v)
-    return v
-
-
 def _matrix_to_json(M) -> list:
     return [[_mpc_to_json(M[i, j]) for j in range(M.cols)] for i in range(M.rows)]
 
 
-def _matrix_from_json(rows) -> mp.matrix:
-    M = mp.matrix(len(rows), len(rows[0]) if rows else 0)
+def _matrix_from_json(rows, n_rows: int, n_cols: int) -> mp.matrix:
+    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
+        raise ValueError(f"matrix entry is not {n_rows} x {n_cols}")
+    M = mp.matrix(n_rows, n_cols)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             M[i, j] = _mpc_from_json(v)
@@ -189,18 +189,15 @@ class LatticeReduction:
 
 @dataclass
 class PeriodData:
-    """Everything derived from one homology/geometry computation."""
+    """The chord integrals of one geometry and what is assembled from them."""
 
     fingerprint: str
     precision: int
     geo: BaseGeometry
-    words: list[LoopWord]
-    basis_rows: list[list[int]]
     swapped: bool
     segment_integrals: mp.matrix  # g x n_rays, chord integrals on reference lift
     tail_integrals: list          # g, from x0 out to the point over infinity
     omega_alpha: mp.matrix
-    omega_beta: mp.matrix
     tau: mp.matrix
     diagnostics: dict
 
@@ -364,95 +361,94 @@ class PeriodEngine:
             raise
 
     def _compute_once(self, config: RunConfig) -> PeriodData:
-        curve = self.curve
-        g = curve.genus
         with mp.workdps(config.working_dps):
-            geo = choose_base_geometry([complex(b) for b in self._roots], self._mults)
-            words = candidate_words(geo.m)
-            K = intersection_matrix(words, geo.m)
-            rows, _ = symplectic_basis(K, g)
+            geo = self._geometry()
+            return self._assemble(geo, *self._chord_integrals(geo), config.precision)
 
-            diagnostics = {}
-            n_rays = len(geo.order)
-            I = mp.matrix(g, n_rays)
-            max_delta = mp.mpf(0)
-            levels = []
-            for pos in range(n_rays):
-                res = self._branch_segment(geo, pos)
+    def _geometry(self) -> BaseGeometry:
+        return choose_base_geometry([complex(b) for b in self._roots], self._mults)
+
+    def _chord_integrals(self, geo: BaseGeometry) -> tuple:
+        """The quadrature step: (I, tail, diagnostics) of the branch and tail chords.
+
+        I[form][ray] integrates from x0 to the branch point of each ray; tail
+        integrates from x0 out to the point over infinity.
+        """
+        results = [self._branch_segment(geo, pos) for pos in range(len(geo.order))]
+        results.append(self._tail_segment(geo))
+        diagnostics = {
+            "quad_levels": [res.level for res in results],
+            "quad_delta_max": max(res.last_delta for res in results),
+        }
+        I = mp.matrix([res.values for res in results[:-1]]).T
+        return I, results[-1].values, diagnostics
+
+    def _assemble(self, geo: BaseGeometry, I, tail: list, diagnostics: dict,
+                  precision: int) -> PeriodData:
+        """Everything else, from the chord integrals at the ambient precision.
+
+        Builds the loop words, their intersection matrix and a symplectic
+        basis, sums the cycle periods from I, and normalizes them to tau,
+        swapping each (a_i, b_i) pair if Im tau is indefinite.  The cold path
+        and the cache loader both call this, so a reload gives the same bits.
+        """
+        g = self.curve.genus
+        words = candidate_words(geo.m)
+        rows, _ = symplectic_basis(intersection_matrix(words, geo.m), g)
+
+        cand = mp.matrix(g, len(words))
+        for c, word in enumerate(words):
+            ks = word.sheets(geo.m)
+            for l in range(g):
+                a, kind = self.forms[l]
+                total = mp.mpc(0)
+                for t, (ray, _e) in enumerate(word.letters):
+                    chi = _character(kind, ks[t]) - _character(kind, ks[t + 1])
+                    total += chi * I[l, ray]
+                cand[l, c] = total
+
+        def cycle_periods(basis_rows):
+            # basis rows alternate a_1, b_1, a_2, ...; each is a word combination
+            om = (mp.matrix(g, g), mp.matrix(g, g))
+            for r, row in enumerate(basis_rows):
                 for l in range(g):
-                    I[l, pos] = res.values[l]
-                max_delta = max(max_delta, res.last_delta)
-                levels.append(res.level)
-            tail = self._tail_segment(geo)
-            max_delta = max(max_delta, tail.last_delta)
-            diagnostics["quad_levels"] = levels + [tail.level]
-            diagnostics["quad_delta_max"] = max_delta
+                    v = mp.mpc(0)
+                    for c, k in enumerate(row):
+                        if k:
+                            v += k * cand[l, c]
+                    om[r % 2][l, r // 2] = v
+            return om
 
-            cand = mp.matrix(g, len(words))
-            for c, word in enumerate(words):
-                ks = word.sheets(geo.m)
-                for l in range(g):
-                    a, kind = self.forms[l]
-                    total = mp.mpc(0)
-                    for t, (ray, _e) in enumerate(word.letters):
-                        chi = _character(kind, ks[t]) - _character(kind, ks[t + 1])
-                        total += chi * I[l, ray]
-                    cand[l, c] = total
-
-            def cycle_periods(basis_rows):
-                om_a = mp.matrix(g, g)
-                om_b = mp.matrix(g, g)
-                for jj in range(g):
-                    for l in range(g):
-                        va = mp.mpc(0)
-                        vb = mp.mpc(0)
-                        for c in range(len(words)):
-                            if basis_rows[2 * jj][c]:
-                                va += basis_rows[2 * jj][c] * cand[l, c]
-                            if basis_rows[2 * jj + 1][c]:
-                                vb += basis_rows[2 * jj + 1][c] * cand[l, c]
-                        om_a[l, jj] = va
-                        om_b[l, jj] = vb
-                return om_a, om_b
-
+        omega_alpha, omega_beta = cycle_periods(rows)
+        normal = self._normalize(omega_alpha, omega_beta)
+        swapped = False
+        if normal is None:
+            # intersection orientation opposite to the analytic one: swap
+            # each (a_i, b_i) pair, a valid symplectic basis again
+            rows = [rows[t ^ 1] for t in range(len(rows))]
             omega_alpha, omega_beta = cycle_periods(rows)
             normal = self._normalize(omega_alpha, omega_beta)
-            swapped = False
+            swapped = True
             if normal is None:
-                # intersection orientation opposite to the analytic one: swap
-                # each (a_i, b_i) pair, a valid symplectic basis again
-                rows = [rows[t ^ 1] for t in range(len(rows))]
-                omega_alpha, omega_beta = cycle_periods(rows)
-                normal = self._normalize(omega_alpha, omega_beta)
-                swapped = True
-                if normal is None:
-                    raise PrecisionLoss("Im tau indefinite under both orientations")
-            tau, eigs = normal
+                raise PrecisionLoss("Im tau indefinite under both orientations")
+        tau, eigs = normal
 
-            asym = mp.mpf(0)
-            for i in range(g):
-                for j in range(g):
-                    asym = max(asym, abs(tau[i, j] - tau[j, i]))
-            scale = max(1, mp.mnorm(tau, "inf"))
-            if asym / scale > mp.mpf(10) ** (-(config.precision - 10)):
-                raise PrecisionLoss(f"tau asymmetry {mp.nstr(asym, 5)}")
-            diagnostics["tau_asym"] = asym
-            diagnostics["imtau_min_eig"] = min(eigs)
+        asym = max(abs(tau[i, j] - tau[j, i]) for i in range(g) for j in range(g))
+        scale = max(1, mp.mnorm(tau, "inf"))
+        if asym / scale > mp.mpf(10) ** (-(precision - 10)):
+            raise PrecisionLoss(f"tau asymmetry {mp.nstr(asym, 5)}")
 
-            return PeriodData(
-                fingerprint=curve.fingerprint(),
-                precision=config.precision,
-                geo=geo,
-                words=words,
-                basis_rows=rows,
-                swapped=swapped,
-                segment_integrals=I,
-                tail_integrals=tail.values,
-                omega_alpha=omega_alpha,
-                omega_beta=omega_beta,
-                tau=tau,
-                diagnostics=diagnostics,
-            )
+        return PeriodData(
+            fingerprint=self.curve.fingerprint(),
+            precision=precision,
+            geo=geo,
+            swapped=swapped,
+            segment_integrals=I,
+            tail_integrals=tail,
+            omega_alpha=omega_alpha,
+            tau=tau,
+            diagnostics=dict(diagnostics, tau_asym=asym, imtau_min_eig=min(eigs)),
+        )
 
     @staticmethod
     def _normalize(omega_alpha, omega_beta):
@@ -493,54 +489,17 @@ class PeriodEngine:
             ]
             return self._normalized(raw)
 
-    def _plan_path(self, x_target):
-        """Waypoints from x0 to x_target keeping clear of branch roots."""
-        data = self.compute()
-        x0 = mp.mpc(data.geo.x0)
-        scale = mp.mpf(data.geo.scale)
-        clearance = scale / 25
-        roots = self._roots
-
-        def ok(a, b):
-            for rt in roots:
-                dr = seg_point_dist(a, b, rt)
-                if dr < clearance and dr < 0.9 * min(abs(rt - a), abs(rt - b)):
-                    return False
-            return True
-
-        def plan(a, b, depth):
-            if ok(a, b) or depth >= 8:
-                if depth >= 8 and not ok(a, b):
-                    raise PathCrossesBranchPoint("cannot route path around branch roots")
-                return [b]
-            d = b - a
-            side = 1j * d / abs(d) * (scale / 2)
-            best = None
-            for sgn in (1, -1):
-                midp = (a + b) / 2 + sgn * side
-                clear = min(abs(midp - rt) for rt in roots)
-                if best is None or clear > best[0]:
-                    best = (clear, midp)
-            midp = best[1]
-            return plan(a, midp, depth + 1) + plan(midp, b, depth + 1)
-
-        return [x0] + plan(x0, mp.mpc(x_target), 0)
-
     def abel_point(self, pt: PointOnCurve) -> list:
         """Normalized Abel map of a smooth affine point, based at infinity."""
         data = self.compute()
         g = self.curve.genus
         with mp.workdps(self.config.working_dps):
-            pts = self._plan_path(pt.x)
-            totals = [mp.mpc(0)] * g
-            w_run = self._w0_at(pts[0])
-            for a, b in zip(pts, pts[1:]):
-                vals, w_run = self._plain_segment(a, w_run, b)
-                for l in range(g):
-                    totals[l] += vals[l]
+            # the straight chord from x0; _split_chord keeps it clear of roots
+            x0 = mp.mpc(data.geo.x0)
+            totals, w_end = self._plain_segment(x0, self._w0_at(x0), mp.mpc(pt.x))
             # identify the sheet shift of the requested lift
             zeta = mp.exp(2j * mp.pi / 3)
-            dists = [abs(pt.w - zeta**k * w_run) for k in range(3)]
+            dists = [abs(pt.w - zeta**k * w_end) for k in range(3)]
             # sheets are separated by |w|*sqrt(3); demand a clear winner
             j = decisive_sheet(dists)
             if j is None:
@@ -594,76 +553,54 @@ class PeriodEngine:
     # -- serialization ----------------------------------------------------
 
     def _dump(self, data: PeriodData) -> dict:
-        g = self.curve.genus
+        """The quadrature output only; _load re-derives everything else."""
+        diag = data.diagnostics
         return {
             "format": CACHE_FORMAT,
             "fingerprint": data.fingerprint,
             "precision": data.precision,
-            "geo": {
-                "x0": [data.geo.x0.real, data.geo.x0.imag],
-                "order": list(data.geo.order),
-                "angles": list(data.geo.angles),
-                "m": list(data.geo.m),
-                "tail_dir": [data.geo.tail_dir.real, data.geo.tail_dir.imag],
-                "scale": data.geo.scale,
-            },
-            "words": [
-                {"letters": [list(l) for l in w.letters], "start_sheet": w.start_sheet}
-                for w in data.words
-            ],
-            "basis_rows": data.basis_rows,
-            "swapped": data.swapped,
             "segment_integrals": _matrix_to_json(data.segment_integrals),
             "tail_integrals": [_mpc_to_json(v) for v in data.tail_integrals],
-            "omega_alpha": _matrix_to_json(data.omega_alpha),
-            "omega_beta": _matrix_to_json(data.omega_beta),
-            "tau": _matrix_to_json(data.tau),
-            "diagnostics": {k: v if isinstance(v, list) else _mpf_to_json(v)
-                             for k, v in data.diagnostics.items()},
+            "diagnostics": {
+                "quad_levels": diag["quad_levels"],
+                "quad_delta_max": _mpf_to_json(diag["quad_delta_max"]),
+            },
         }
 
     def _load(self, path) -> PeriodData | None:
+        """The entry at path, re-assembled as the cold path assembles it.
+
+        None, so that compute() recomputes and rewrites the entry, if the file
+        is unreadable, of another format or curve, below the asked precision,
+        or malformed: a key missing, a value of the wrong type or shape.
+        """
+        g = self.curve.genus
         try:
             with open(path) as fh:
                 payload = json.load(fh)
-        except (OSError, ValueError):
+            precision = payload["precision"]
+            if (
+                payload["format"] != CACHE_FORMAT
+                or payload["fingerprint"] != self.curve.fingerprint()
+                or type(precision) is not int
+                or precision < self.config.precision
+            ):
+                return None
+            levels = payload["diagnostics"]["quad_levels"]
+            if not (isinstance(levels, list) and all(type(v) is int for v in levels)):
+                return None
+            # deserialization rounds to the ambient precision; restore at the
+            # precision the data was computed with so the bits survive exactly
+            with mp.workdps(precision + GUARD_DIGITS):
+                I = _matrix_from_json(payload["segment_integrals"], g, self.curve.n_branch)
+                tail = _matrix_from_json([payload["tail_integrals"]], 1, g).tolist()[0]
+                delta = _mpf_from_json(payload["diagnostics"]["quad_delta_max"])
+        except (OSError, KeyError, TypeError, ValueError):
             return None
-        if payload.get("format") != CACHE_FORMAT:
-            return None
-        if payload.get("fingerprint") != self.curve.fingerprint():
-            return None
-        if payload.get("precision", 0) < self.config.precision:
-            return None
-        # deserialization rounds to the ambient precision; restore at the
-        # precision the data was computed with so the bits survive exactly
-        with mp.workdps(int(payload["precision"]) + GUARD_DIGITS):
-            return self._load_payload(payload)
-
-    def _load_payload(self, payload) -> PeriodData:
-        geo = BaseGeometry(
-            x0=complex(*payload["geo"]["x0"]),
-            order=tuple(payload["geo"]["order"]),
-            angles=tuple(payload["geo"]["angles"]),
-            m=tuple(payload["geo"]["m"]),
-            tail_dir=complex(*payload["geo"]["tail_dir"]),
-            scale=payload["geo"]["scale"],
-        )
-        words = [
-            LoopWord(letters=tuple(tuple(l) for l in w["letters"]), start_sheet=w["start_sheet"])
-            for w in payload["words"]
-        ]
-        return PeriodData(
-            fingerprint=payload["fingerprint"],
-            precision=payload["precision"],
-            geo=geo,
-            words=words,
-            basis_rows=[list(map(int, row)) for row in payload["basis_rows"]],
-            swapped=payload["swapped"],
-            segment_integrals=_matrix_from_json(payload["segment_integrals"]),
-            tail_integrals=[_mpc_from_json(v) for v in payload["tail_integrals"]],
-            omega_alpha=_matrix_from_json(payload["omega_alpha"]),
-            omega_beta=_matrix_from_json(payload["omega_beta"]),
-            tau=_matrix_from_json(payload["tau"]),
-            diagnostics={k: _diag_from_json(v)
-                         for k, v in payload.get("diagnostics", {}).items()},
-        )
+        diagnostics = {"quad_levels": levels, "quad_delta_max": delta}
+        with mp.workdps(precision + GUARD_DIGITS):
+            try:
+                return self._assemble(self._geometry(), I, tail, diagnostics, precision)
+            except PrecisionLoss:
+                # integrals that assemble to no Riemann matrix are recomputed
+                return None

@@ -100,6 +100,21 @@ def test_curve_roots_of_polynomial(capsys):
     assert all(b["type"] == "A" for b in data["branch_points"])
 
 
+@pytest.mark.parametrize("rs, coeffs, want", [
+    # x^2 + x + 1e300 and 1e-300 x^2 + 1: roots near +-1e150 i
+    ("0 2", "1e300,1,1", [-1e150j, 1e150j]),
+    ("0 2", "1,0,1e-300", [-1e150j, 1e150j]),
+    # roots from 1e-300 to 1e300: the scaled solve fails, the unscaled one succeeds
+    ("0 4", "1,1e300,1e-300,1e300,1", [-1j, -1e300, 0, 1j]),
+], ids=["big-constant", "tiny-leading", "wide-spread"])
+def test_curve_roots_of_badly_scaled_polynomial(capsys, rs, coeffs, want):
+    code, out, err = run(capsys, "curve", *rs.split(), "--roots-of", coeffs)
+    assert code == EXIT_OK, err
+    xs = [complex(b["x"].replace(" ", "")) for b in json.loads(out)["branch_points"]]
+    for z, w in zip(sorted(xs, key=lambda z: (z.imag, z.real)), want):
+        assert abs(z - w) < 1e-10 * max(1, abs(w)), (z, w)
+
+
 def test_tables_check_published_ok(capsys):
     code, out, _ = run(capsys, "tables", "1", "3", "--check-published")
     assert code == EXIT_OK
@@ -194,7 +209,8 @@ def test_precision_below_floor_is_a_validation_error(capsys):
     (["curve", "1", "2", "0", "1", "1/0"], "cannot parse"),
     (["curve", "1", "2", "--roots-of", "1,2,1,0"], "degree-3 polynomial"),
     (["curve", "0", "2", "--roots-of", "1,2,1"], "repeated root"),
-    (["curve", "0", "2", "--roots-of", "1e300,1,1"], "did not converge"),
+    # roots spread over 150 decades defeat the solve, scaled or not
+    (["curve", "0", "4", "--roots-of", "1e200,1e150,1e200,1e150,1"], "did not converge"),
     (["theta", "--z", "abc", "1", "2", "0", "1", "--", "-1"], "cannot parse"),
     (["theta", "--z", "0,nanj", "1", "2", "0", "1", "--", "-1"], "not finite"),
     (["fs", "--points", "bad", "1", "2", "0", "1", "--", "-1"], "X,SHEET"),
@@ -347,6 +363,19 @@ def test_report_matches_golden_output(capsys, golden, precision, argv):
     with open(os.path.join(DATA, golden)) as fh:
         want = json.load(fh)
     _assert_matches_golden(json.loads(out), want, _residual_tolerances(precision))
+
+
+def test_periods_matches_golden_bytes_cold_and_warm(capsys, tmp_path):
+    # the warm runs re-derive tau and the diagnostics from the cached chord
+    # integrals; every run must print the same bytes as the cold one
+    argv = ["--precision", "40", "periods", "--roots-of", "1,0,0,0,1", "0", "4"]
+    with open(os.path.join(DATA, "periods_quartic_p40.json")) as fh:
+        want = fh.read()
+    for cache in ([], ["--cache-dir", str(tmp_path)], ["--cache-dir", str(tmp_path)]):
+        code, out, err = run(capsys, *cache, *argv)
+        assert code == EXIT_OK, err
+        assert out == want
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 def _check_semigroup_378(cmd, env=None):

@@ -4,6 +4,7 @@ plain-chord quadrature against a tanh-sinh reference, and the period cache."""
 from __future__ import annotations
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -11,13 +12,18 @@ import pytest
 from mpmath import mp
 
 from trigjac import periods
+from trigjac.cli import EXIT_OK, main
 from trigjac.curve import TrigonalCurve
 from trigjac.divisor import frak_B, place_P, points_divisor, principal_divisor
 from trigjac.errors import PathCrossesBranchPoint
+from trigjac.homology import seg_point_dist
 from trigjac.periods import PeriodEngine, _gauss_legendre_rule, _split_chord
 from trigjac.config import RunConfig
 from trigjac.quadrature import tanh_sinh_batch
 from trigjac.rconst import random_effective_points
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+CURVE12 = ["1", "2", "0", "1", "--", "-1"]
 
 
 def imag_matrix(tau, g):
@@ -274,3 +280,95 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
         engine.compute(force=True)
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("escalate", [False, True], ids=["p40", "p80"])
+def test_abel_fiber_past_a_root_sums_to_lattice_vector(engine12, config40, escalate):
+    # x - c has divisor (the three lifts over c) - 3P, so their Abel values sum
+    # to a lattice vector.  c lies past the root 0 on the ray from x0, offset
+    # by scale/1000, so the straight chord from x0 to c grazes that root.
+    cfg = config40.escalated() if escalate else config40
+    engine = PeriodEngine(engine12.curve, cfg) if escalate else engine12
+    geo = engine.compute().geo
+    with mp.workdps(cfg.working_dps):
+        x0, b = mp.mpc(geo.x0), engine._roots[0]
+        u = (b - x0) / abs(b - x0)
+        c = b + u * geo.scale / 2 + 1j * u * geo.scale / 1000
+        assert seg_point_dist(complex(x0), complex(c), complex(b)) < geo.scale / 500
+        total = [mp.mpc(0)] * engine.curve.genus
+        for k in range(3):
+            v = engine.abel_point(engine.curve.point(c, sheet=k))
+            total = [t + a for t, a in zip(total, v)]
+        assert engine.lattice_reduce(total).dist < cfg.lattice_tol
+
+
+def _tau_bits(data):
+    return [(z.real._mpf_, z.imag._mpf_) for z in data.tau]
+
+
+def _diagnostics_bits(data):
+    return {k: v if isinstance(v, list) else v._mpf_ for k, v in data.diagnostics.items()}
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda e: {k: e[k] for k in ("format", "fingerprint", "precision")},
+    lambda e: dict(e, segment_integrals=[e["segment_integrals"][0][:-1],
+                                         *e["segment_integrals"][1:]]),
+], ids=["keys-missing", "truncated-row"])
+def test_malformed_cache_entry_is_recomputed(tmp_path, capsys, engine12, spoil):
+    argv = ["--cache-dir", str(tmp_path), "periods", *CURVE12]
+    assert main(argv) == EXIT_OK
+    cold = capsys.readouterr().out
+    (path,) = tmp_path.iterdir()
+    entry = json.loads(path.read_text())
+    path.write_text(json.dumps(spoil(entry)))
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == cold
+    # the entry was rewritten whole, and it reloads to the cold bits
+    assert json.loads(path.read_text()) == entry
+    cfg = RunConfig(precision=engine12.config.precision, cache_dir=str(tmp_path))
+    assert _tau_bits(PeriodEngine(engine12.curve, cfg).compute()) == _tau_bits(engine12.compute())
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda e: [e],
+    lambda e: dict(e, precision=str(e["precision"])),
+    lambda e: dict(e, tail_integrals=e["tail_integrals"][:-1]),
+    lambda e: dict(e, segment_integrals=e["segment_integrals"][:-1]),
+    lambda e: dict(e, segment_integrals=[[1.5] * len(r) for r in e["segment_integrals"]]),
+    lambda e: dict(e, tail_integrals=[["1234", "5678"]] * len(e["tail_integrals"])),
+    lambda e: dict(e, diagnostics={"quad_levels": "6 8", "quad_delta_max": [0, "1", 0, 1]}),
+    lambda e: dict(e, diagnostics={"quad_levels": [6]}),
+    # well formed, but a singular alpha-period matrix: no Riemann matrix
+    lambda e: dict(e, segment_integrals=[[[[0, "0", 0, 0]] * 2] * len(r)
+                                         for r in e["segment_integrals"]]),
+], ids=["not-an-object", "precision-str", "short-tail", "short-matrix", "float-entries",
+        "string-entries", "levels-str", "delta-missing", "zero-integrals"])
+def test_cache_loader_treats_malformed_entries_as_misses(tmp_path, engine12, spoil):
+    path = tmp_path / "entry.json"
+    entry = engine12._dump(engine12.compute())
+    path.write_text(json.dumps(entry))
+    assert _tau_bits(engine12._load(str(path))) == _tau_bits(engine12.compute())
+    path.write_text(json.dumps(spoil(entry)))
+    assert engine12._load(str(path)) is None
+
+
+def test_cache_entry_in_the_full_layout_is_read_without_quadrature(tmp_path, monkeypatch,
+                                                                    engine12):
+    # an entry that also stores geometry, words, basis, cycle periods and tau
+    # is read for its chord integrals alone, and re-assembled to the cold bits
+    cfg = RunConfig(precision=engine12.config.precision, cache_dir=str(tmp_path))
+    engine = PeriodEngine(engine12.curve, cfg)
+    with open(os.path.join(DATA, "periods_cache_full_layout_1_2_p40.json")) as fh:
+        full = fh.read()
+    with open(engine._cache_path(), "w") as fh:
+        fh.write(full)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a cached entry ran quadrature")
+
+    monkeypatch.setattr(periods, "tanh_sinh_batch", no_quadrature)
+    warm, cold = engine.compute(), engine12.compute()
+    assert _tau_bits(warm) == _tau_bits(cold)
+    assert warm.swapped == cold.swapped
+    assert _diagnostics_bits(warm) == _diagnostics_bits(cold)
