@@ -13,7 +13,7 @@ the Riemann constant together with its verification battery.
 """
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .curve import PointOnCurve, TrigonalCurve, build_family, roots_of_poly
+from .curve import PointOnCurve, TrigonalCurve, roots_of_poly
 from .divisor import (
     Divisor,
     canonical_divisor,
@@ -75,7 +75,6 @@ __all__ = [
     "TrigonalCurve",
     "ValidationError",
     "VerificationError",
-    "build_family",
     "canonical_divisor",
     "family_semigroup",
     "frak_B",

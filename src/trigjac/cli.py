@@ -94,15 +94,8 @@ def _emit(report: dict, args) -> None:
         _emit_text(data)
 
 
-def _emit_csv(data, prefix: str = "") -> None:
-    if isinstance(data, list) and data and all(isinstance(x, dict) for x in data):
-        keys = sorted({k for row in data for k in row})
-        print(",".join([prefix + "index"] + keys) if prefix else ",".join(keys))
-        for row in data:
-            print(",".join(str(row.get(k, "")) for k in keys))
-        return
-    flat = _flatten(data)
-    for k, v in flat:
+def _emit_csv(data) -> None:
+    for k, v in _flatten(data):
         print(f"{k},{v}")
 
 
@@ -168,7 +161,7 @@ def _parse_complex(tok: str, what: str):
     return mp.mpc(to_mp(_parse_number(tok, what)))
 
 
-def _branch_points(args, config: RunConfig):
+def _branch_points(args):
     n_needed = args.r + args.s
     if getattr(args, "roots_of", None):
         coeffs = [
@@ -182,11 +175,10 @@ def _branch_points(args, config: RunConfig):
         f = Poly(coeffs)
         if gcd(f, f.derivative()).degree > 0:
             raise DegenerateBranching("--roots-of polynomial has a repeated root")
-        with mp.workdps(config.working_dps):
-            try:
-                return roots_of_poly(coeffs)
-            except mp.mp.NoConvergence as exc:
-                raise ValidationError(f"--roots-of roots did not converge: {exc}") from exc
+        try:
+            return roots_of_poly(coeffs)
+        except mp.mp.NoConvergence as exc:
+            raise ValidationError(f"--roots-of roots did not converge: {exc}") from exc
     toks = list(args.branch or [])
     if len(toks) != n_needed:
         raise ValidationError(
@@ -194,15 +186,12 @@ def _branch_points(args, config: RunConfig):
         )
     vals = [_parse_number(t, "branch point") for t in toks]
     if any(not isinstance(v, Fraction) for v in vals):
-        with mp.workdps(config.working_dps):
-            vals = [mp.mpc(to_mp(v)) for v in vals]
+        vals = [mp.mpc(to_mp(v)) for v in vals]
     return vals
 
 
-def _make_curve(args, config: RunConfig) -> TrigonalCurve:
-    # expanding A and B from numeric roots must happen at working precision
-    with mp.workdps(config.working_dps):
-        return TrigonalCurve(args.r, args.s, _branch_points(args, config))
+def _make_curve(args) -> TrigonalCurve:
+    return TrigonalCurve(args.r, args.s, _branch_points(args))
 
 
 def _make_config(args) -> RunConfig:
@@ -235,7 +224,7 @@ def cmd_semigroup(args, config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_curve(args, config: RunConfig) -> tuple[dict, int]:
-    curve = _make_curve(args, config)
+    curve = _make_curve(args)
     H = from_generators([3, curve.wt_w, curve.wt_y])
     forms = [
         (f"x^{a} dx / {kind}" if a else f"dx / {kind}")
@@ -320,7 +309,7 @@ def _default_branch(r: int, s: int):
 
 
 def cmd_divisor(args, config: RunConfig) -> tuple[dict, int]:
-    curve = _make_curve(args, config)
+    curve = _make_curve(args)
     report = verify_semicanonical(curve)
     report["canonical"] = canonical_divisor(curve).to_json()
     report["semicanonical_D0"] = semicanonical_D0(curve).to_json()
@@ -332,7 +321,7 @@ def cmd_divisor(args, config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_periods(args, config: RunConfig) -> tuple[dict, int]:
-    curve = _make_curve(args, config)
+    curve = _make_curve(args)
     engine = PeriodEngine(curve, config)
     data = engine.compute()
     g = curve.genus
@@ -364,20 +353,18 @@ def _parse_char(text: str, g: int) -> ThetaChar:
 
 
 def cmd_theta(args, config: RunConfig) -> tuple[dict, int]:
-    curve = _make_curve(args, config)
+    curve = _make_curve(args)
     g = curve.genus
     char = _parse_char(args.char, g) if args.char else None
-    with mp.workdps(config.working_dps):
-        if args.z:
-            zs = [_parse_complex(t, "--z component") for t in args.z.split(",")]
-            if len(zs) != g:
-                raise ValidationError(f"z needs {g} components")
-        else:
-            zs = [mp.mpc(0)] * g
+    if args.z:
+        zs = [_parse_complex(t, "--z component") for t in args.z.split(",")]
+        if len(zs) != g:
+            raise ValidationError(f"z needs {g} components")
+    else:
+        zs = [mp.mpc(0)] * g
     data = PeriodEngine(curve, config).compute()
-    with mp.workdps(config.working_dps):
-        value, scale = theta_value(zs, data.tau, char)
-        band = classify_vanishing(abs(value), scale, config)
+    value, scale = theta_value(zs, data.tau, char)
+    band = classify_vanishing(abs(value), scale, config)
     report = {
         "genus": g,
         "characteristic": char.to_json() if char else None,
@@ -402,7 +389,7 @@ def _shifted_fields(sc) -> dict:
 
 
 def cmd_rc(args, config: RunConfig) -> tuple[dict, int]:
-    curve = _make_curve(args, config)
+    curve = _make_curve(args)
     engine = PeriodEngine(curve, config)
     rc = riemann_constant(engine)
     sc = shifted_constant(engine)
@@ -433,19 +420,18 @@ def _parse_point(curve: TrigonalCurve, tok: str):
 
 
 def cmd_fs(args, config: RunConfig) -> tuple[dict, int]:
-    curve = _make_curve(args, config)
+    curve = _make_curve(args)
     engine = PeriodEngine(curve, config)
     n = args.n if args.n is not None else max(curve.genus - 1, 1)
-    with mp.workdps(config.working_dps):
-        if args.points:
-            pts = [_parse_point(curve, tok) for tok in args.points.split(";")]
-            if args.n is not None and len(pts) != n:
-                raise ValidationError(f"--points gave {len(pts)} points, --n asked {n}")
-            n = len(pts)
-        else:
-            pts = random_effective_points(curve, n, random.Random(config.seed + 9))
-        psi_val = psi(curve, pts)
-        mufn = mu_coefficients(curve, pts)
+    if args.points:
+        pts = [_parse_point(curve, tok) for tok in args.points.split(";")]
+        if args.n is not None and len(pts) != n:
+            raise ValidationError(f"--points gave {len(pts)} points, --n asked {n}")
+        n = len(pts)
+    else:
+        pts = random_effective_points(curve, n, random.Random(config.seed + 9))
+    psi_val = psi(curve, pts)
+    mufn = mu_coefficients(curve, pts)
     report = mu_divisor_check(engine, pts)
     report["psi"] = psi_val
     report["mu_coefficients"] = list(mufn.coefficients)
@@ -454,7 +440,7 @@ def cmd_fs(args, config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_verify(args, config: RunConfig) -> tuple[dict, int]:
-    curve = _make_curve(args, config)
+    curve = _make_curve(args)
     stages: dict[str, object] = {}
     failed = None
 
@@ -495,8 +481,7 @@ def cmd_verify(args, config: RunConfig) -> tuple[dict, int]:
             failed = "published_characteristic"
 
     n = max(curve.genus - 1, 1)
-    with mp.workdps(config.working_dps):
-        pts = random_effective_points(curve, n, random.Random(config.seed + 9))
+    pts = random_effective_points(curve, n, random.Random(config.seed + 9))
     fs_report = mu_divisor_check(engine, pts)
     stages["jacobi_inversion"] = {"ok": fs_report["ok"], "report": fs_report}
     if failed is None and not fs_report["ok"]:
@@ -587,7 +572,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        report, code = args.func(args, _make_config(args))
+        config = _make_config(args)
+        # every command, numeric branch points and A, B included, runs at the
+        # working precision; _emit prints at the requested one
+        with mp.workdps(config.working_dps):
+            report, code = args.func(args, config)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -21,16 +21,21 @@ from .errors import ValidationError
 GUARD_DIGITS = 12        # extra digits used internally
 QUAD_MAX_LEVEL = 12      # tanh-sinh refinement ceiling
 ESCALATION_FACTOR = 2    # one-step precision escalation multiplier
+BATTERY_SIZE = 20        # decisive rounds per theta-divisor battery
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Container for precision and policy knobs shared across modules."""
+    """The settings of one run: precision, period cache directory and seed.
+
+    Every tolerance derives from precision; the fixed policy around them
+    lives in the module constants GUARD_DIGITS, QUAD_MAX_LEVEL,
+    ESCALATION_FACTOR and BATTERY_SIZE.
+    """
 
     precision: int = 40            # working decimal digits
     cache_dir: str | None = None
     seed: int = 20260814           # base seed for deterministic sampling
-    battery_size: int = 20         # random divisors per theta-divisor battery
 
     def __post_init__(self) -> None:
         if self.precision < 20:

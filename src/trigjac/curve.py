@@ -479,6 +479,19 @@ class RingElement:
     def evaluate(self, pt: PointOnCurve):
         return self.evaluate_xwy(pt.x, pt.w, pt.y)
 
+    def series_at(self, pt: PointOnCurve, K: int) -> Poly:
+        """First K Taylor coefficients of p0 + p1 w + p2 y in h = x - pt.x.
+
+        pt must be a smooth affine point; the denominator is left out.
+        """
+        wser, yser = self.curve.local_series(pt.x, pt.w, K - 1)
+        s = (
+            _shift_series(self.p0, pt.x, K)
+            + polyutil_mul_trunc(_shift_series(self.p1, pt.x, K), wser, K)
+            + polyutil_mul_trunc(_shift_series(self.p2, pt.x, K), yser, K)
+        )
+        return _trunc(s, K)
+
     def evaluate_xwy(self, x, w, y):
         num = _eval_mp(self.p0, x) + _eval_mp(self.p1, x) * w + _eval_mp(self.p2, x) * y
         d = _eval_mp(self.den, x)
@@ -564,12 +577,7 @@ class BasisTable:
         return [self.curve.monomial(*mon) for _, mon in self.rows]
 
 
-def build_family(r: int, s: int, branch_points: Sequence) -> TrigonalCurve:
-    """Construct a family curve after validating all preconditions."""
-    return TrigonalCurve(r, s, branch_points)
-
-
-def roots_of_poly(coeffs: Sequence, extraprec: int = 40) -> list:
+def roots_of_poly(coeffs: Sequence) -> list:
     """Roots of a polynomial given low-to-high coefficients, deterministic order.
 
     Roots are computed with mpmath at the current working precision and sorted
@@ -588,7 +596,7 @@ def roots_of_poly(coeffs: Sequence, extraprec: int = 40) -> list:
 
     def solve(shift):
         scaled = [c * mp.ldexp(1, shift * k) for k, c in enumerate(cs)]
-        roots = mp.polyroots(scaled[::-1], maxsteps=200, extraprec=extraprec)
+        roots = mp.polyroots(scaled[::-1], maxsteps=200, extraprec=40)
         return [mp.mpc(z) * mp.ldexp(1, shift) for z in roots]
 
     try:

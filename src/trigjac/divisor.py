@@ -179,15 +179,15 @@ def semicanonical_D0(curve: TrigonalCurve) -> Divisor:
 # -- principal divisors ----------------------------------------------------
 
 
-def principal_divisor(e: RingElement, zero_tol=None) -> Divisor:
+def principal_divisor(e: RingElement) -> Divisor:
     """Divisor of a nonzero function: exact at P and B_i, numeric generic zeros.
 
-    zero_tol controls the numeric root-accounting scale; defaults to 1e-25.
+    Numeric roots are accounted for at the scale 1e-25.
     """
     if e.is_zero():
         raise ValidationError("zero element has no divisor")
     curve = e.curve
-    tol = zero_tol if zero_tol is not None else mp.mpf("1e-25")
+    tol = mp.mpf("1e-25")
     mult_tol = None if curve.exact else tol
     p_coeff = e.ord_at_infinity()
     b_coeffs = tuple(
@@ -324,6 +324,17 @@ def _assign_sheets(e: RingElement, x0, mult: int, tol):
         return [(lifts[small[0]], mult)]
     if len(small) == 3 and mult % 3 == 0:
         return [(lifts[k], mult // 3) for k in range(3)]
+    if len(small) > 1:
+        # e vanishes on every lift where x - x0 divides p0, p1 and p2, and may
+        # vanish to a higher order on some of them: read each order off the
+        # Taylor series of e on that sheet
+        orders = []
+        for k in small:
+            ser = e.series_at(lifts[k], mult + 1).coeffs
+            size = 1 + max((abs(v) for v in ser), default=0)
+            orders.append(next((i for i, v in enumerate(ser) if abs(v) > thr * size), mult))
+        if sum(orders) == mult:
+            return [(lifts[k], o) for k, o in zip(small, orders)]
     raise RootAccountingFailure(
         f"cannot split multiplicity {mult} over sheets with residuals {vals}"
     )

@@ -51,10 +51,6 @@ class SingularConfiguration(VerificationError):
     """Interpolation points fail the general-position determinant test."""
 
 
-class BasisExhausted(TrigjacError):
-    """A graded basis truncated at some weight has too few elements."""
-
-
 class NoCandidate(VerificationError):
     """No half-period translate of the base vector lies on the theta divisor."""
 
@@ -65,10 +61,6 @@ class AmbiguousCandidate(VerificationError):
 
 class NotHalfPeriod(VerificationError):
     """Twice the shifted constant is not a lattice vector at tolerance."""
-
-
-class TheoremCheckFailed(VerificationError):
-    """A named end-to-end verification sub-check exceeded its tolerance."""
 
 
 class PrecisionError(TrigjacError):

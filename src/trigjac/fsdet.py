@@ -36,7 +36,6 @@ from .curve import (
 )
 from .divisor import frak_B, frak_B1, points_divisor
 from .errors import (
-    BasisExhausted,
     GeneralPositionFailure,
     RootAccountingFailure,
     SingularConfiguration,
@@ -46,15 +45,8 @@ from .periods import PeriodEngine
 from .polyutil import Poly, deflate
 
 
-def _rb_rows(curve: TrigonalCurve, count: int, max_weight: int | None = None):
+def _rb_rows(curve: TrigonalCurve, count: int):
     """First `count` graded R^B rows as (weight, (a, b, c)) tuples."""
-    if max_weight is not None:
-        rows = curve.basis_RB(max_weight).rows
-        if len(rows) < count:
-            raise BasisExhausted(
-                f"need {count} basis elements, weight bound {max_weight} holds {len(rows)}"
-            )
-        return list(rows[:count])
     max_w = curve.wt_w + curve.wt_y + 3 * count + 3
     rows = curve.basis_RB(max_w).rows
     while len(rows) < count:
@@ -138,7 +130,7 @@ def _det_with_scale(rows) -> tuple:
     return mp.det(mp.matrix(rows)), scale
 
 
-def psi(curve: TrigonalCurve, points, max_weight: int | None = None):
+def psi(curve: TrigonalCurve, points):
     """Interpolation determinant det[f_j(P_i)] over the graded R^B basis.
 
     Repeated points contribute successive derivative rows in the local
@@ -148,7 +140,7 @@ def psi(curve: TrigonalCurve, points, max_weight: int | None = None):
     n = len(points)
     if n < 1:
         raise ValidationError("psi needs at least one point")
-    codes = _rb_rows(curve, n, max_weight)
+    codes = _rb_rows(curve, n)
     rows = _rows_matrix(curve, _group_points(points), codes)
     det, _ = _det_with_scale(rows)
     return det

@@ -325,11 +325,11 @@ class PeriodEngine:
 
     # -- main computation -------------------------------------------------
 
-    def compute(self, force: bool = False) -> PeriodData:
-        if self.data is not None and not force:
+    def compute(self) -> PeriodData:
+        if self.data is not None:
             return self.data
         path = self._cache_path()
-        if path is not None and not force and os.path.exists(path):
+        if path is not None and os.path.exists(path):
             data = self._load(path)
             if data is not None:
                 self.data = data
@@ -571,8 +571,10 @@ class PeriodEngine:
         """The entry at path, re-assembled as the cold path assembles it.
 
         None, so that compute() recomputes and rewrites the entry, if the file
-        is unreadable, of another format or curve, below the asked precision,
-        or malformed: a key missing, a value of the wrong type or shape.
+        is unreadable, of another format, curve or precision, or malformed: a
+        key missing, a value of the wrong type or shape.  Only an entry at
+        exactly the asked precision is reused, so a warm report carries the
+        same diagnostics as a cold one.
         """
         g = self.curve.genus
         try:
@@ -583,7 +585,7 @@ class PeriodEngine:
                 payload["format"] != CACHE_FORMAT
                 or payload["fingerprint"] != self.curve.fingerprint()
                 or type(precision) is not int
-                or precision < self.config.precision
+                or precision != self.config.precision
             ):
                 return None
             levels = payload["diagnostics"]["quad_levels"]

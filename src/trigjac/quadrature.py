@@ -69,20 +69,20 @@ def tanh_sinh_batch(
     n_integrands: int,
     tol,
     max_level: int,
-    min_level: int = 4,
     sing_order=0,
 ) -> QuadResult:
     """Integrate a batch of functions over (0, 1).
 
     eval_batch(nodes) receives the new (u, 1-u) pairs of a level and returns,
     for each node, the list of n_integrands integrand values there.
-    Each abscissa is evaluated exactly once across all levels.  sing_order
+    Levels run from 4 up to max_level, and each abscissa is evaluated exactly
+    once across all levels.  sing_order
     bounds the strongest endpoint blow-up (u-end)^(-q) among the integrands.
     """
     eps_w = mp.mpf(10) ** (-(mp.mp.dps + 8))
     cache: dict[Fraction, list] = {}
     prev = None
-    level = min_level
+    level = 4
     while True:
         nodes = _nodes_at_level(level, eps_w, sing_order)
         missing = [(u, comp, key) for key, u, comp, _ in nodes if key not in cache]

@@ -138,10 +138,6 @@ def conjugate_partition(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for r in rows if r > j) for j in range(rows[0]))
 
 
-def is_symmetric(H: Semigroup) -> bool:
-    return H.is_symmetric()
-
-
 def family_generators(r: int, s: int) -> tuple[int, int, int]:
     return (3, 2 * r + s, 2 * s + r)
 

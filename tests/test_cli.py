@@ -22,8 +22,6 @@ from trigjac.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     EXIT_VERIFICATION,
-    _make_config,
-    build_parser,
     main,
 )
 from trigjac.curve import roots_of_poly
@@ -219,7 +217,7 @@ def test_precision_below_floor_is_a_validation_error(capsys):
 ])
 def test_malformed_numbers_are_validation_errors(capsys, monkeypatch, argv, message):
     # every input is rejected before any period is computed
-    def no_compute(self, force=False):
+    def no_compute(self):
         raise AssertionError("periods computed before the input was checked")
 
     monkeypatch.setattr(PeriodEngine, "compute", no_compute)
@@ -305,20 +303,19 @@ def test_verify_battery_passes(capsys, cache_dir):
     }
 
 
-def test_periods_roots_at_working_precision():
+def test_periods_roots_at_working_precision(capsys):
     # the roots of x^3 + x + 1 are not dyadic: an engine that held them at
     # double precision moved tau by 1.6e-17
-    argv = ["--precision", "30", "periods", "--roots-of", "1,1,0,1", "1", "2"]
-    args = build_parser().parse_args(argv)
-    cfg = _make_config(args)
-    report, code = args.func(args, cfg)
-    assert code == EXIT_OK
+    code, out, err = run(
+        capsys, "--precision", "30", "periods", "--roots-of", "1,1,0,1", "1", "2"
+    )
+    assert code == EXIT_OK, err
+    cfg = RunConfig(precision=30)
     with mp.workdps(cfg.working_dps):
         roots = roots_of_poly([Fraction(1), Fraction(1), Fraction(0), Fraction(1)])
         tau = PeriodEngine(TrigonalCurve(1, 2, roots), cfg).compute().tau
-        for i, row in enumerate(report["tau"]):
-            for j, v in enumerate(row):
-                assert abs(v - tau[i, j]) < mp.mpf(10) ** -30
+    want = [[mp.nstr(tau[i, j], 30) for j in range(2)] for i in range(2)]
+    assert json.loads(out)["tau"] == want
 
 
 # Residuals at rounding level may move with the order of floating-point
@@ -363,6 +360,30 @@ def test_report_matches_golden_output(capsys, golden, precision, argv):
     with open(os.path.join(DATA, golden)) as fh:
         want = json.load(fh)
     _assert_matches_golden(json.loads(out), want, _residual_tolerances(precision))
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("divisor_roots_quartic_p30.json", ["divisor", "0", "4", "--roots-of", "1,0,0,0,1"]),
+    ("curve_1_2_numeric_p30.json", ["curve", "1", "2", "0.5", "1", "--", "-1"]),
+], ids=["divisor-roots-of", "curve-decimal"])
+def test_numeric_curve_report_matches_golden_bytes(capsys, golden, argv):
+    code, out, err = run(capsys, "--precision", "30", *argv)
+    assert code == EXIT_OK, err
+    with open(os.path.join(DATA, golden)) as fh:
+        assert out == fh.read()
+
+
+def test_cache_entry_at_another_precision_is_not_reused(capsys, tmp_path):
+    # a 40-digit entry carries 40-digit quadrature diagnostics and tau; a
+    # 20-digit run that reused it would report them instead of its own
+    argv = ["--precision", "20", "verify", *CURVE12]
+    code, cold, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    cache = ["--cache-dir", str(tmp_path)]
+    assert run(capsys, *cache, "--precision", "40", "periods", *CURVE12)[0] == EXIT_OK
+    code, warm, err = run(capsys, *cache, *argv)
+    assert code == EXIT_OK, err
+    assert warm == cold
 
 
 def test_periods_matches_golden_bytes_cold_and_warm(capsys, tmp_path):

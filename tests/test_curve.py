@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from trigjac.curve import TrigonalCurve, build_family, roots_of_poly
+from trigjac.curve import TrigonalCurve, roots_of_poly
 from trigjac.errors import ValidationError
 
 
@@ -134,8 +134,8 @@ def test_roots_of_poly_oracle():
         assert max(abs(r.imag) for r in roots) < mp.mpf(10) ** (-38)
 
 
-def test_build_family_matches_constructor():
-    c1 = build_family(1, 2, [Fraction(0), Fraction(1), Fraction(-1)])
+def test_fingerprint_is_determined_by_branch_points():
+    c1 = TrigonalCurve(1, 2, [Fraction(0), Fraction(1), Fraction(-1)])
     c2 = make12()
     assert c1.fingerprint() == c2.fingerprint()
     c3 = make12((0, 1, 2))

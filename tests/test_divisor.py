@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -160,6 +160,9 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 @given(st.lists(rationals, min_size=3, max_size=3, unique=True),
        st.integers(0, 4), st.sampled_from([(0, 0), (1, 0), (0, 1)]),
        st.integers(0, 3), st.sampled_from([(0, 0), (1, 0), (0, 1)]))
+# x (w + y) vanishes on all three lifts of x = 0, and twice on the one where
+# w = -y
+@example(points=[Fraction(6), Fraction(-1, 3), Fraction(-2)], a1=1, k1=(1, 0), a2=1, k2=(0, 1))
 @settings(max_examples=30, deadline=None)
 def test_property_principal_divisors_degree_zero(points, a1, k1, a2, k2):
     c = TrigonalCurve(1, 2, points)

@@ -10,7 +10,6 @@ from mpmath import mp
 
 from trigjac.config import RunConfig
 from trigjac.curve import TrigonalCurve
-from trigjac.errors import BasisExhausted, TrigjacError
 from trigjac.fsdet import mu, mu_coefficients, mu_divisor_check, psi
 from trigjac.periods import PeriodEngine
 from trigjac.rconst import random_effective_points
@@ -49,12 +48,6 @@ def test_psi_vanishes_at_branch_point(curve, config40):
         # zero short-circuits before any determinant is formed
         b = curve.point(mp.mpf(1), w=mp.mpf(0))
         assert psi(curve, [b]) == 0
-
-
-def test_basis_exhausted(curve, config40):
-    with mp.workdps(config40.working_dps):
-        with pytest.raises(BasisExhausted):
-            psi(curve, pts_on(curve, 3), max_weight=5)
 
 
 def test_mu_direct_ratio_matches_coefficient_path(curve, config40):

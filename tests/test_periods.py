@@ -158,9 +158,10 @@ def test_cache_refuses_lower_precision_entries(tmp_path):
     # a higher-precision engine must not accept the 25-digit entry
     high = PeriodEngine(curve, RunConfig(precision=40, cache_dir=str(tmp_path)))
     assert high.compute().precision == 40
-    # and the refreshed entry now serves the low-precision engine too
+    # nor does the refreshed 40-digit entry serve a 25-digit engine: its
+    # diagnostics would differ from a cold 25-digit run
     again = PeriodEngine(curve, RunConfig(precision=25, cache_dir=str(tmp_path)))
-    assert again.compute().precision == 40
+    assert again.compute().precision == 25
 
 
 def test_precision_escalation_shrinks_abel_residual():
@@ -277,7 +278,7 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(periods.json, "dump", broken_dump)
     with pytest.raises(OSError, match="disk full"):
-        engine.compute(force=True)
+        engine._store(path, engine.compute())
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == before
 
