@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedSupport,
     ValidationError,
 )
-from .polyutil import Poly, deflate, squarefree_decomposition
+from .polyutil import Poly, leftover_roots, squarefree_decomposition
 
 
 @dataclass(frozen=True)
@@ -193,61 +193,29 @@ def principal_divisor(e: RingElement) -> Divisor:
     b_coeffs = tuple(
         e.ord_at_branch(i, tol=mult_tol) for i in range(curve.n_branch)
     )
-    generic = _generic_zeros(e, b_coeffs, tol)
+    generic = _generic_zeros(e, tol)
     den_extra = _denominator_generic_poles(e, tol)
     return Divisor(curve, p=p_coeff, b=b_coeffs, generic=generic + den_extra)
 
 
-def _generic_zeros(e: RingElement, b_coeffs, tol):
+def _generic_zeros(e: RingElement, tol):
     """Zeros of the numerator away from branch points, located via the norm."""
     curve = e.curve
     num = RingElement(curve, e.p0, e.p1, e.p2, Poly.one()) if e.den.degree else e
     norm = num.norm_poly()
-    expect = num.weight  # total zero count of the numerator
     if norm.degree == 0:
         return ()
-    bpts = curve.branch_points_mp()
-    # strip the known branch-point roots: multiplicity = ord at B_i of numerator
+    # the known branch-point roots: multiplicity = ord at B_i of numerator
     branch_orders = [
         num.ord_at_branch(i, tol=None if curve.exact else tol)
         for i in range(curve.n_branch)
     ]
-    if curve.exact:
-        # divide out (x - b_i)^{v_i} exactly, then split off repeated factors
-        # so the numeric root finder only ever sees squarefree inputs
-        f = norm
-        for b, v in zip(curve.branch_points, branch_orders):
-            lin = Poly([-b, Fraction(1)])
-            for _ in range(v):
-                q, rem = f.divmod(lin)
-                if not rem.is_zero():
-                    raise RootAccountingFailure(
-                        f"branch root x = {b} missing from the norm"
-                    )
-                f = q
-        rem_deg = f.degree
-    else:
-        deflated = _to_mp_poly(norm)
-        for bx, v in zip(bpts, branch_orders):
-            for _ in range(v):
-                deflated, _ = deflate(deflated, bx)
-        rem_deg = len(deflated) - 1
-    if rem_deg != expect - sum(branch_orders):
+    clusters, degree = _off_branch_roots(curve, norm, branch_orders, tol)
+    # num.weight is the total zero count of the numerator
+    if degree != num.weight - sum(branch_orders):
         raise RootAccountingFailure(
             f"norm degree {norm.degree} does not match valuation bookkeeping"
         )
-    if rem_deg == 0:
-        return ()
-    if curve.exact:
-        clusters = []
-        for gpoly, k in squarefree_decomposition(f):
-            rts = mp.polyroots(
-                list(reversed(_to_mp_poly(gpoly))), maxsteps=300, extraprec=80
-            )
-            clusters.extend((x0, k) for x0 in rts)
-    else:
-        roots = mp.polyroots(list(reversed(deflated)), maxsteps=300, extraprec=80)
-        clusters = _cluster(roots, tol)
     out = []
     for x0, mult in clusters:
         out.extend(_assign_sheets(e, x0, mult, tol))
@@ -259,20 +227,42 @@ def _denominator_generic_poles(e: RingElement, tol):
     curve = e.curve
     if e.den.degree == 0:
         return ()
-    den_mp = _to_mp_poly(e.den)
-    for i, bx in enumerate(curve.branch_points_mp()):
-        b = curve.branch_points[i]
-        m = e.den.root_multiplicity(b, tol=None if curve.exact else tol)
-        for _ in range(m):
-            den_mp, _ = deflate(den_mp, bx)
-    if len(den_mp) <= 1:
-        return ()
-    roots = mp.polyroots(list(reversed(den_mp)), maxsteps=200, extraprec=60)
-    out = []
-    for x0, mult in _cluster(roots, tol):
-        for k in range(3):
-            out.append((curve.point(x0, sheet=k), -mult))
-    return tuple(out)
+    orders = [
+        e.den.root_multiplicity(b, tol=None if curve.exact else tol)
+        for b in curve.branch_points
+    ]
+    clusters, _ = _off_branch_roots(curve, e.den, orders, tol)
+    return tuple(
+        (curve.point(x0, sheet=k), -mult) for x0, mult in clusters for k in range(3)
+    )
+
+
+def _off_branch_roots(curve: TrigonalCurve, f: Poly, orders, tol):
+    """(clusters, degree) of f once (x - b_i)^orders[i] is divided out.
+
+    clusters lists (root, multiplicity) of what is left, of that degree.  On
+    an exact curve the division is exact and repeated factors are split off
+    first, so the numeric root finder only ever sees squarefree inputs; on a
+    numeric curve leftover_roots divides at tol and the roots are clustered.
+    """
+    if curve.exact:
+        for b, v in zip(curve.branch_points, orders):
+            lin = Poly([-b, Fraction(1)])
+            for _ in range(v):
+                f, rem = f.divmod(lin)
+                if not rem.is_zero():
+                    raise RootAccountingFailure(
+                        f"branch root x = {b} missing from the polynomial"
+                    )
+        clusters = [
+            (x0, k)
+            for g, k in squarefree_decomposition(f)
+            for x0 in leftover_roots(_to_mp_poly(g), (), tol)
+        ]
+        return clusters, f.degree
+    known = [b for b, v in zip(curve.branch_points_mp(), orders) for _ in range(v)]
+    roots = leftover_roots(_to_mp_poly(f), known, tol)
+    return _cluster(roots, tol), f.degree - len(known)
 
 
 def _to_mp_poly(p: Poly) -> list:
@@ -400,11 +390,7 @@ def is_linearly_trivial(D: Divisor) -> bool:
     For deg D = 0 any nonzero f in L(-D) has (f) >= D with degree equality,
     hence (f) = D exactly.
     """
-    if D.has_generic():
-        raise UnsupportedSupport("linear equivalence test needs exact support")
-    if D.degree != 0:
-        raise NonZeroDegree(f"divisor has degree {D.degree}, expected 0")
-    return bool(rr_space(-D))
+    return equivalence_witness(D) is not None
 
 
 def equivalence_witness(D: Divisor) -> RingElement | None:

@@ -40,7 +40,12 @@ class VerificationError(TrigjacError):
 
 
 class RootAccountingFailure(VerificationError):
-    """Zeros of a determinant element could not be matched to the expected divisor."""
+    """The zeros or poles of a function could not be accounted for.
+
+    Raised when a known root is missing from a norm or denominator
+    polynomial, when the remaining roots do not converge or cannot be lifted
+    to the curve, and when their count disagrees with the expected divisor.
+    """
 
 
 class GeneralPositionFailure(VerificationError):

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
-from .curve import (
-    PointOnCurve,
-    RingElement,
-    TrigonalCurve,
-    decisive_sheet,
-    polyutil_mul_trunc,
-)
+from .curve import PointOnCurve, RingElement, TrigonalCurve, decisive_sheet
 from .divisor import frak_B, frak_B1, points_divisor
 from .errors import (
     GeneralPositionFailure,
@@ -42,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .periods import PeriodEngine
-from .polyutil import Poly, deflate
+from .polyutil import leftover_roots
 
 
 def _rb_rows(curve: TrigonalCurve, count: int):
@@ -71,16 +65,6 @@ def _group_points(points) -> list[tuple[PointOnCurve, int]]:
     return [(g[0], g[1]) for g in groups]
 
 
-def _binom_shift(x0, a: int, K: int) -> Poly:
-    """(x0 + h)^a as a series in h truncated to K terms."""
-    coeffs = []
-    c = mp.mpc(1)
-    for t in range(min(a, K - 1) + 1):
-        coeffs.append(c * mp.mpc(x0) ** (a - t))
-        c = c * (a - t) / (t + 1)
-    return Poly(coeffs)
-
-
 def _rows_matrix(curve: TrigonalCurve, groups, codes) -> list[list]:
     """Evaluation rows, one block of derivative rows per confluent group."""
     ncols = len(codes)
@@ -100,15 +84,9 @@ def _rows_matrix(curve: TrigonalCurve, groups, codes) -> list[list]:
         tol = mp.mpf(10) ** (-(mp.mp.dps // 2))
         if any(abs(pt.x - b) <= tol * (1 + abs(b)) for b in curve.branch_points_mp()):
             raise ValidationError("confluent rows need a non-branch base point")
-        wser, yser = curve.local_series(pt.x, pt.w, k - 1)
         rows = [[None] * ncols for _ in range(k)]
-        for j, (_, (a, b, c)) in enumerate(codes):
-            ser = _binom_shift(pt.x, a, k)
-            if b:
-                ser = polyutil_mul_trunc(ser, wser, k)
-            if c:
-                ser = polyutil_mul_trunc(ser, yser, k)
-            cs = list(ser.coeffs) + [mp.mpc(0)] * k
+        for j, (_, code) in enumerate(codes):
+            cs = list(curve.monomial(*code).series_at(pt, k).coeffs) + [mp.mpc(0)] * k
             fact = mp.mpf(1)
             for d in range(k):
                 if d:
@@ -235,38 +213,16 @@ def mu_divisor_check(engine: PeriodEngine, points) -> dict:
                 f"norm polynomial degree {len(norm.coeffs) - 1}, expected {N}"
             )
         match_tol = mp.mpf(10) ** (-(mp.mp.dps // 3))
-        coeffs = [mp.mpc(c) for c in norm.coeffs]
-
-        def deflate_known(x0):
-            # divide by (x - x0) in place; repeated inputs and branch points
-            # are known roots, so the numeric root finder below only ever
-            # sees the (generically simple) complementary zeros
-            nonlocal coeffs
-            x0 = mp.mpc(x0)
-            quotient, residue = deflate(coeffs, x0)
-            scale = sum(abs(c) * abs(x0) ** k for k, c in enumerate(coeffs))
-            if abs(residue) > match_tol * (1 + scale):
-                raise RootAccountingFailure(
-                    f"norm does not vanish at known root {mp.nstr(mp.mpc(x0), 8)}"
-                    f" (residue {mp.nstr(abs(residue), 3)})"
-                )
-            coeffs = quotient
-
-        for pt in points:
-            deflate_known(pt.x)
+        # repeated inputs and branch points are known roots, so the numeric
+        # root finder only ever sees the (generically simple) complementary zeros
         branch = curve.branch_points_mp()
-        for b0 in branch:
-            deflate_known(b0)
+        known = [pt.x for pt in points] + branch
+        roots = leftover_roots([mp.mpc(c) for c in norm.coeffs], known, match_tol)
         expected_extra = N - n - d1
-        if len(coeffs) - 1 != expected_extra:
+        if len(roots) != expected_extra:
             raise RootAccountingFailure(
-                f"{len(coeffs) - 1} leftover roots, expected {expected_extra}"
+                f"{len(roots)} leftover roots, expected {expected_extra}"
             )
-        roots = (
-            mp.polyroots(list(reversed(coeffs)), maxsteps=300, extraprec=80)
-            if expected_extra
-            else []
-        )
 
         q_points = []
         q_branch = []

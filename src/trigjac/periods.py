@@ -234,9 +234,15 @@ class PeriodEngine:
         return hashlib.sha256(ident.encode()).hexdigest()[:20]
 
     def _cache_path(self):
+        """One file per curve and asked precision.
+
+        A run that escalates stores its escalated entry under the precision
+        it was asked for, so the next run at that precision finds it.
+        """
         if self.config.cache_dir is None:
             return None
-        return os.path.join(self.config.cache_dir, f"periods_{self.cache_key()}.json")
+        name = f"periods_{self.cache_key()}_p{self.config.precision}.json"
+        return os.path.join(self.config.cache_dir, name)
 
     # -- integrals ------------------------------------------------------
 
@@ -572,9 +578,9 @@ class PeriodEngine:
 
         None, so that compute() recomputes and rewrites the entry, if the file
         is unreadable, of another format, curve or precision, or malformed: a
-        key missing, a value of the wrong type or shape.  Only an entry at
-        exactly the asked precision is reused, so a warm report carries the
-        same diagnostics as a cold one.
+        key missing, a value of the wrong type or shape.  Only an entry at the
+        asked precision, or at its escalation when the cold run escalated, is
+        reused, so a warm report carries the same diagnostics as a cold one.
         """
         g = self.curve.genus
         try:
@@ -585,7 +591,8 @@ class PeriodEngine:
                 payload["format"] != CACHE_FORMAT
                 or payload["fingerprint"] != self.curve.fingerprint()
                 or type(precision) is not int
-                or precision != self.config.precision
+                or precision not in (self.config.precision,
+                                     self.config.escalated().precision)
             ):
                 return None
             levels = payload["diagnostics"]["quad_levels"]

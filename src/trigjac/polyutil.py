@@ -7,7 +7,8 @@ zeros compare exactly).  Nothing here assumes ordering of the field.
 
 The kernels the two layers share live here as well: to_mp, the one door from
 exact scalars into mpmath; root_product, a monic polynomial evaluated from its
-roots; and deflate, synthetic division by a linear factor.
+roots; deflate, synthetic division by a linear factor; and leftover_roots,
+the roots of a polynomial that remain once its known roots are divided out.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath as mp
+
+from .errors import RootAccountingFailure
 
 
 def to_mp(c):
@@ -55,6 +58,33 @@ def deflate(coeffs: Sequence, root) -> tuple[list, object]:
         quotient.append(acc)
         acc = acc * root + c
     return quotient[::-1], acc
+
+
+def leftover_roots(coeffs: Sequence, known: Iterable, tol) -> list:
+    """The roots of sum c_k x^k (low degree first) besides the known ones.
+
+    Each known root r is divided out in turn with deflate.  A remainder above
+    tol * (1 + sum |c_k| |r|^k), over the coefficients it was divided from,
+    means r is not a root and raises RootAccountingFailure; so does a root
+    finder that does not converge, as on a repeated leftover root.
+    """
+    for r in known:
+        quotient, remainder = deflate(coeffs, r)
+        scale = sum(abs(c) * abs(r) ** k for k, c in enumerate(coeffs))
+        if abs(remainder) > tol * (1 + scale):
+            raise RootAccountingFailure(
+                f"polynomial does not vanish at known root {mp.nstr(mp.mpc(r), 8)}"
+                f" (residue {mp.nstr(abs(remainder), 3)})"
+            )
+        coeffs = quotient
+    if len(coeffs) <= 1:
+        return []
+    try:
+        return mp.polyroots(list(reversed(coeffs)), maxsteps=300, extraprec=80)
+    except mp.mp.NoConvergence as exc:
+        raise RootAccountingFailure(
+            f"roots of the degree-{len(coeffs) - 1} leftover did not converge: {exc}"
+        ) from exc
 
 
 class Poly:

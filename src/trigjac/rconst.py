@@ -318,12 +318,5 @@ def verify_shifted(engine: PeriodEngine) -> dict:
             torsion3_ok = torsion3_ok and bool(torsion1.dist > 10 * config.lattice_tol)
         report["torsion3_ok"] = torsion3_ok
 
-    report["ok"] = bool(
-        report["vanishing_ok"]
-        and report["plain_shift_ok"]
-        and report["offdiv_ok"]
-        and report["parity_ok"]
-        and report["symmetric_divisor_ok"]
-        and report["torsion3_ok"]
-    )
+    report["ok"] = all(v for k, v in report.items() if k.endswith("_ok"))
     return report

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from trigjac import PeriodEngine, RunConfig
 from trigjac.curve import TrigonalCurve
 from trigjac.divisor import (
     Divisor,
@@ -26,6 +27,8 @@ from trigjac.divisor import (
     semicanonical_D0,
     verify_semicanonical,
 )
+from trigjac.errors import RootAccountingFailure
+from trigjac.polyutil import Poly
 from trigjac.semigroup import family_semigroup
 
 
@@ -184,3 +187,64 @@ def test_property_principal_divisors_degree_zero(points, a1, k1, a2, k2):
 def test_property_semicanonical_any_rational_curve(points):
     report = verify_semicanonical(TrigonalCurve(1, 2, points))
     assert all(v for k, v in report.items() if k.startswith("ok_"))
+
+
+# -- principal divisors with generic zeros and poles, checked by Abel's theorem
+
+CONFIG30 = RunConfig(precision=30)
+
+
+@pytest.fixture(scope="module")
+def engines30():
+    with mp.workdps(CONFIG30.working_dps):
+        curves = {
+            "exact": TrigonalCurve(1, 2, [Fraction(0), Fraction(1), Fraction(-1)]),
+            "decimal": TrigonalCurve(1, 2, [mp.mpc(0.5), mp.mpc(1), mp.mpc(-1)]),
+        }
+    return {kind: PeriodEngine(c, CONFIG30) for kind, c in curves.items()}
+
+
+def _linear(c, root):
+    """x - root as a polynomial over the curve's field."""
+    return Poly([-root * c.one, c.one])
+
+
+def _assert_fiber(D, x0, mult):
+    """The generic part of D is mult times each of the three lifts of x0."""
+    assert sorted(pt.sheet for pt, _ in D.generic) == [0, 1, 2]
+    assert all(m == mult and abs(pt.x - x0) < mp.mpf(10) ** -25 for pt, m in D.generic)
+
+
+@pytest.mark.parametrize("kind, build, p, b, generic", [
+    # numerator norms whose leftover roots are simple: root finder, then _cluster
+    ("decimal", lambda c: c.monomial(1, 0, 0) + c.w_elem().scale(3), -4, (0, 0, 0), 4),
+    ("decimal", lambda c: c.monomial(2, 0, 1) + c.w_elem().scale(3), -11, (1, 1, 1), 8),
+    # a branch root in the denominator: -3 B1 and no generic pole
+    ("exact", lambda c: c.element(p0=_linear(c, -2), den=_linear(c, c.branch_points[0])),
+     0, (-3, 0, 0), (-2, 1)),
+    # a generic root in the denominator: a pole at each of its three lifts
+    ("exact", lambda c: c.element(p1=1, den=_linear(c, 3)), -1, (1, 1, 2), (3, -1)),
+    ("decimal", lambda c: c.element(p1=1, den=_linear(c, 3)), -1, (1, 1, 2), (3, -1)),
+    # a repeated generic zero: the exact squarefree split finds its multiplicity
+    ("exact", lambda c: c.element(p1=_linear(c, -3)), -7, (1, 1, 2), (-3, 1)),
+], ids=["x+3w", "x2y+3w", "(x+2)/(x-b1)", "w/(x-3)", "w/(x-3)-decimal", "(x+3)w"])
+def test_principal_divisor_with_generic_support_satisfies_abel(engines30, kind, build,
+                                                                p, b, generic):
+    engine = engines30[kind]
+    with mp.workdps(CONFIG30.working_dps):
+        D = principal_divisor(build(engine.curve))
+        assert (D.p, D.b, D.degree) == (p, b, 0)
+        if isinstance(generic, int):
+            assert [m for _, m in D.generic] == [1] * generic
+        else:
+            _assert_fiber(D, *generic)
+        assert engine.lattice_reduce(engine.abel_divisor(D)).dist <= CONFIG30.lattice_tol
+
+
+def test_repeated_generic_zero_on_a_numeric_curve_is_a_root_accounting_failure(engines30):
+    # the norm of (x + 3) w has the triple root x = -3, which the numeric root
+    # finder cannot resolve; the exact curve splits it off (case "(x+3)w" above)
+    c = engines30["decimal"].curve
+    with mp.workdps(CONFIG30.working_dps):
+        with pytest.raises(RootAccountingFailure, match="did not converge"):
+            principal_divisor(c.element(p1=_linear(c, -3)))

@@ -15,7 +15,7 @@ from trigjac import periods
 from trigjac.cli import EXIT_OK, main
 from trigjac.curve import TrigonalCurve
 from trigjac.divisor import frak_B, place_P, points_divisor, principal_divisor
-from trigjac.errors import PathCrossesBranchPoint
+from trigjac.errors import PathCrossesBranchPoint, PrecisionLoss
 from trigjac.homology import seg_point_dist
 from trigjac.periods import PeriodEngine, _gauss_legendre_rule, _split_chord
 from trigjac.config import RunConfig
@@ -162,6 +162,49 @@ def test_cache_refuses_lower_precision_entries(tmp_path):
     # diagnostics would differ from a cold 25-digit run
     again = PeriodEngine(curve, RunConfig(precision=25, cache_dir=str(tmp_path)))
     assert again.compute().precision == 25
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("a cached entry ran quadrature")
+
+
+@pytest.fixture
+def engine_at(tmp_path):
+    """Engines for curve (1,2) at a given precision, all on one cache directory."""
+    with mp.workdps(70):
+        curve = TrigonalCurve(1, 2, [Fraction(0), Fraction(1), Fraction(-1)])
+    return lambda p: PeriodEngine(curve, RunConfig(precision=p, cache_dir=str(tmp_path)))
+
+
+def test_cache_keeps_one_entry_per_precision(tmp_path, monkeypatch, engine_at):
+    # a 20-digit run between two 40-digit runs must not evict the 40-digit entry
+    cold = engine_at(40).compute()
+    assert engine_at(20).compute().precision == 20
+    monkeypatch.setattr(periods, "tanh_sinh_batch", _no_quadrature)
+    warm = engine_at(40).compute()
+    assert _tau_bits(warm) == _tau_bits(cold)
+    assert _diagnostics_bits(warm) == _diagnostics_bits(cold)
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_escalated_cache_entry_serves_the_next_run(monkeypatch, engine_at):
+    # a 20-digit run that escalates stores 40-digit data; the next 20-digit
+    # run reads it back, even after a 40-digit run on the same directory
+    compute_once = PeriodEngine._compute_once
+
+    def loses_precision_at_20(self, config):
+        if config.precision == 20:
+            raise PrecisionLoss("forced at 20 digits")
+        return compute_once(self, config)
+
+    monkeypatch.setattr(PeriodEngine, "_compute_once", loses_precision_at_20)
+    cold = engine_at(20).compute()
+    assert cold.precision == 40
+    assert engine_at(40).compute().precision == 40
+    monkeypatch.setattr(periods, "tanh_sinh_batch", _no_quadrature)
+    warm = engine_at(20).compute()
+    assert _tau_bits(warm) == _tau_bits(cold)
+    assert _diagnostics_bits(warm) == _diagnostics_bits(cold)
 
 
 def test_precision_escalation_shrinks_abel_residual():
@@ -365,10 +408,7 @@ def test_cache_entry_in_the_full_layout_is_read_without_quadrature(tmp_path, mon
     with open(engine._cache_path(), "w") as fh:
         fh.write(full)
 
-    def no_quadrature(*args, **kwargs):
-        raise AssertionError("a cached entry ran quadrature")
-
-    monkeypatch.setattr(periods, "tanh_sinh_batch", no_quadrature)
+    monkeypatch.setattr(periods, "tanh_sinh_batch", _no_quadrature)
     warm, cold = engine.compute(), engine12.compute()
     assert _tau_bits(warm) == _tau_bits(cold)
     assert warm.swapped == cold.swapped

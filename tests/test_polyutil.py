@@ -1,5 +1,5 @@
 """Shared kernels of polyutil: the exact-to-mpmath conversion, the root
-product and synthetic division."""
+product, synthetic division and the leftover roots after known ones."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ import pytest
 from mpmath import mp
 
 from trigjac.curve import TrigonalCurve
-from trigjac.polyutil import Poly, deflate, root_product, to_mp
+from trigjac.errors import RootAccountingFailure
+from trigjac.polyutil import Poly, deflate, leftover_roots, root_product, to_mp
 
 
 @pytest.mark.parametrize("prec", [53, 110, 300])
@@ -37,6 +38,19 @@ def test_deflate_known_cubic():
     assert rem == Fraction(21, 8) == Poly(cubic)(Fraction(1, 2))
     q_poly, r_poly = Poly(cubic).divmod(Poly([Fraction(-1, 2), Fraction(1)]))
     assert Poly(quotient) == q_poly and Poly([rem]) == r_poly
+
+
+def test_leftover_roots_checks_each_known_root():
+    # (x - 1)^2 (x - 2)(x + 3): the known roots 1, 1 leave the simple roots 2, -3
+    quartic = [mp.mpc(c) for c in Poly.from_roots([1, 1, 2, -3], one=1).coeffs]
+    tol = mp.mpf(10) ** -20
+    with mp.workdps(30):
+        rest = sorted(leftover_roots(quartic, [1, 1], tol), key=lambda z: z.real)
+        assert len(rest) == 2
+        assert all(abs(z - want) < mp.mpf(10) ** -25 for z, want in zip(rest, [-3, 2]))
+        with pytest.raises(RootAccountingFailure, match="known root"):
+            leftover_roots(quartic, [1, 1, mp.mpf("2.001")], tol)
+        assert leftover_roots(quartic, [1, 1, 2, -3], tol) == []
 
 
 def test_root_product_matches_ab2():
