@@ -9,7 +9,8 @@ orchestration layer that maps package exceptions onto exit codes:
     0  success
     2  validation error (bad inputs, invalid family member)
     3  verification failure (an identity check missed its tolerance)
-    4  precision failure (escalation did not certify the result)
+    4  precision failure (a result could not be certified at the working
+       precision; only the periods are retried at an escalated one)
 
 JSON output is byte-deterministic for fixed inputs and configuration: keys
 are sorted, numbers are printed through mp.nstr at the configured precision,

@@ -8,8 +8,8 @@ parameter p so that escalating p tightens every check consistently:
 * theta vanishing is relative: |theta| < 10^-(p/2) * scale,
 * theta non-vanishing requires |theta| > 10^-(p/4) * scale,
 
-with the band between the last two treated as a rejection band that triggers
-precision escalation instead of a silent decision.
+with the band between the last two a rejection band in which nothing is
+decided.  Only PeriodEngine.compute escalates the precision, once, for tau.
 """
 
 from __future__ import annotations

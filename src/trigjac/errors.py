@@ -57,11 +57,7 @@ class SingularConfiguration(VerificationError):
 
 
 class NoCandidate(VerificationError):
-    """No half-period translate of the base vector lies on the theta divisor."""
-
-
-class AmbiguousCandidate(VerificationError):
-    """Several half-period translates survived the theta-divisor battery."""
+    """The half-period offset derived from the automorphism fails Riemann vanishing."""
 
 
 class NotHalfPeriod(VerificationError):

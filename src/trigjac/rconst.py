@@ -2,25 +2,19 @@
 
 The vector kappa of Riemann constants for base point at infinity satisfies
 2*kappa = -abel(canonical divisor) modulo the period lattice, which pins kappa
-up to one of the 4^g half-period offsets.  The right offset is singled out by
-Riemann vanishing: theta(abel(D) + kappa) = 0 for every effective divisor D of
-degree g-1, while a wrong offset fails this for a generic D.  Candidates are
-filtered against a seeded battery of random effective divisors with a
-vanishing band well above the working precision and a non-vanishing band well
-below typical theta magnitudes; a value between the bands discards the draw
-rather than risking a wrong verdict.
+up to one of the 4^g half-period offsets.  automorphism_offset derives the
+offset from the automorphism (x, w) -> (x, zeta w), which fixes P; a seeded
+battery then confirms it by Riemann vanishing, theta(abel(D) + kappa) = 0 for
+config.BATTERY_SIZE random effective divisors D of degree g-1.  A value between
+the vanishing and non-vanishing bands discards the draw; a non-vanishing one
+raises NoCandidate, and running out of draws raises PrecisionLoss.
 
 For this curve family the canonical class is twice (g-1+r)P - (sum of the
 B-type branch points), so kappa shifted by the Abel image of that branch sum
 is a half-period even though kappa itself is not one on the non-symmetric
 members.  The shifted constant therefore has a theta characteristic with
-entries in {0, 1/2}, which the package extracts and verifies.
-
-The 4^g candidate offsets are the points tau*d' + d'' of the characteristics
-of theta.half_characteristics, in its order; the characteristic of a
-half-period v is read off one lattice reduction of 2v.  A battery that runs
-out of draws before config.BATTERY_SIZE rounds were decisive raises
-PrecisionLoss instead of returning an answer on thinner evidence.
+entries in {0, 1/2}, which the package extracts and verifies; the
+characteristic of a half-period v is read off one lattice reduction of 2v.
 """
 
 from __future__ import annotations
@@ -35,9 +29,9 @@ import mpmath as mp
 from .config import BATTERY_SIZE
 from .curve import PointOnCurve, TrigonalCurve, is_exact_scalar
 from .divisor import canonical_divisor, frak_B, points_divisor
-from .errors import AmbiguousCandidate, NoCandidate, NotHalfPeriod, PrecisionLoss
-from .periods import PeriodEngine
-from .theta import ThetaChar, classify_vanishing, half_characteristics, theta_value
+from .errors import NoCandidate, NotHalfPeriod, PrecisionLoss
+from .periods import PeriodEngine, _character
+from .theta import ThetaChar, classify_vanishing, theta_value
 
 
 @dataclass
@@ -75,8 +69,60 @@ def random_effective_points(curve: TrigonalCurve, count: int, rng: random.Random
     return pts
 
 
+def _int_product(A, B) -> list:
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def automorphism_offset(engine: PeriodEngine, base) -> tuple[list, tuple]:
+    """(R, (x', x'')) with kappa = base + (tau x' + x'')/2, read off rho.
+
+    rho: (x, w) -> (x, zeta w) fixes P and multiplies the forms by chi, so it
+    acts by Lam = Omega_a^-1 diag(chi) Omega_a on C^g, maps tau n + m to
+    tau n' + m' with (n'; m') = R (n; m), and maps W_{g-1} onto itself.  It
+    moves the theta divisor by Lam v_e, e the change of the semicharacter
+    (-1)^(n.m) of theta under R.  Theta = W_{g-1} + kappa has trivial
+    stabilizer, so (Lam - 1) kappa = Lam v_e mod the lattice, which for
+    kappa = base + (tau x' + x'')/2 reads (R - I) x = t mod 2.  X/<rho> is P^1,
+    so I + R + R^2 = 0, det(R - I) divides 3^(2g) and x is unique.
+
+    A swapped basis needs no special case: R and e are read in the basis the
+    engine returns, where Im tau > 0, so the lattice, theta and its Riemann
+    form J on (n; m) come from tau alone, and R^T J R = J is unchanged when J
+    is replaced by -J.  A rounding residual above lattice_tol, a failed exact
+    identity or a solution count other than 1 raises PrecisionLoss.
+    """
+    data = engine.compute()
+    tau, g = data.tau, engine.curve.genus
+    with mp.workdps(engine.config.working_dps):
+        chi = mp.diag([_character(kind, 1) for _a, kind in engine.forms])
+        lam = data.omega_alpha**-1 * chi * data.omega_alpha
+        reds = [engine.lattice_reduce([M[i, j] for i in range(g)])
+                for M in (lam * tau, lam) for j in range(g)]
+        nm = [sum(a * b for a, b in zip(red.n, red.m)) for red in reds]
+        v = ThetaChar.half_from_bits(nm[g:], nm[:g]).vector(tau)
+        red_t = engine.lattice_reduce(
+            [2 * (sum(lam[i, k] * (v[k] - base[k]) for k in range(g)) + base[i])
+             for i in range(g)])
+        dist = max(red.dist for red in reds + [red_t])
+    if dist > engine.config.lattice_tol:
+        raise PrecisionLoss(f"automorphism misses the lattice by {mp.nstr(dist, 5)}")
+    cols = [red.n + red.m for red in reds]
+    R = [list(row) for row in zip(*cols)]
+    RR = _int_product(R, R)
+    J = [[(j == i + g) - (i == j + g) for j in range(2 * g)] for i in range(2 * g)]
+    if (any(RR[i][j] + R[i][j] + (i == j) for i in range(2 * g) for j in range(2 * g))
+            or _int_product(_int_product(cols, J), R) != J):
+        raise PrecisionLoss("automorphism matrix fails I + R + R^2 = 0 or R^T J R = J")
+    t = red_t.n + red_t.m
+    sols = [x for x in itertools.product((0, 1), repeat=2 * g)
+            if not any((y - xi - ti) % 2 for y, xi, ti in zip(_int_product([x], cols)[0], x, t))]
+    if len(sols) != 1:
+        raise PrecisionLoss(f"{len(sols)} offsets solve (R - I) x = t mod 2")
+    return R, (sols[0][:g], sols[0][g:])
+
+
 def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
-    """Filter the half-period candidates for kappa by Riemann vanishing."""
+    """Derive kappa's half-period offset and confirm it by Riemann vanishing."""
     cached = getattr(engine, "_rconst_memo", None)
     if cached is not None:
         return cached
@@ -87,46 +133,28 @@ def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
     with mp.workdps(config.working_dps):
         acan = engine.abel_divisor(canonical_divisor(curve))
         base = [-v / 2 for v in acan]
-        chars = list(half_characteristics(g))
-        offsets = [ch.vector(data.tau) for ch in chars]
-        survivors = set(range(len(chars)))
+        _R, bits = automorphism_offset(engine, base)
+        ch = ThetaChar.half_from_bits(*bits)
+        off = ch.vector(data.tau)
         rng = random.Random(config.seed)
         decisive = 0
         draws = 0
         max_draws = 6 * BATTERY_SIZE + 10
-        while (decisive < BATTERY_SIZE or len(survivors) > 1) and draws < max_draws:
+        while decisive < BATTERY_SIZE and draws < max_draws:
             draws += 1
             pts = random_effective_points(curve, g - 1, rng)
             zD = engine.abel_divisor(points_divisor(curve, pts))
-            verdicts = {}
-            ambiguous = False
-            for c in sorted(survivors):
-                off = offsets[c]
-                z = [zD[l] + base[l] + off[l] for l in range(g)]
-                val, scale = theta_value(z, data.tau)
-                verdict = classify_vanishing(abs(val), scale, config)
-                if verdict is None:
-                    ambiguous = True
-                    break
-                verdicts[c] = verdict
-            if ambiguous:
-                continue
-            decisive += 1
-            survivors = {c for c in survivors if verdicts[c]}
-            if not survivors:
-                raise NoCandidate("no half-period offset satisfies Riemann vanishing")
-        if len(survivors) != 1:
-            raise AmbiguousCandidate(
-                f"{len(survivors)} candidates left after {draws} draws"
-            )
+            z = [zD[l] + base[l] + off[l] for l in range(g)]
+            val, scale = theta_value(z, data.tau)
+            verdict = classify_vanishing(abs(val), scale, config)
+            if verdict is False:
+                raise NoCandidate(f"predicted offset {ch.to_json()} fails Riemann vanishing")
+            decisive += verdict is True
         if decisive < BATTERY_SIZE:
             raise PrecisionLoss(
                 f"only {decisive} of {BATTERY_SIZE} battery rounds decisive"
                 f" after {draws} draws"
             )
-        c = survivors.pop()
-        ch, off = chars[c], offsets[c]
-        bits = (tuple(int(2 * v) for v in ch.top), tuple(int(2 * v) for v in ch.bottom))
         delta = tuple(base[l] + off[l] for l in range(g))
         result = RiemannConstant(delta=delta, offset_bits=bits, decisive_rounds=decisive)
         engine._rconst_memo = result

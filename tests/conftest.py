@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-Period computation and the Riemann-constant search are the expensive steps,
+Period computation and the Riemann-constant battery are the expensive steps,
 so the engines are session scoped; everything downstream (theta batteries,
 divisor checks, acceptance runs) reuses them.
 """

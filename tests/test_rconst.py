@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from trigjac import PeriodEngine, RunConfig, TrigonalCurve, rconst
-from trigjac.errors import PrecisionLoss
+from trigjac import PeriodEngine, RunConfig, TrigonalCurve, periods, rconst, roots_of_poly
+from trigjac.cli import EXIT_PRECISION, EXIT_VERIFICATION, main
+from trigjac.divisor import canonical_divisor
+from trigjac.errors import NoCandidate, PrecisionLoss
 from trigjac.rconst import (
+    automorphism_offset,
     characteristic_of,
     match_published,
     published_characteristic,
@@ -17,7 +20,7 @@ from trigjac.rconst import (
     shifted_constant,
     verify_shifted,
 )
-from trigjac.theta import half_characteristics, theta_value
+from trigjac.theta import ThetaChar, half_characteristics, theta_value
 
 
 def test_riemann_constant_is_decisive(engine12):
@@ -118,3 +121,93 @@ def test_undecided_battery_is_a_precision_loss(monkeypatch):
     with pytest.raises(PrecisionLoss, match="only 2 of 4 battery rounds decisive"):
         riemann_constant(engine)
     assert len(draws) == 6 * rconst.BATTERY_SIZE + 10
+
+
+def _engine(r, s, branch, precision):
+    """A computed engine; branch is a list of rationals or, as a string, the
+    low-to-high coefficients of the polynomial whose roots are the branch set."""
+    cfg = RunConfig(precision=precision)
+    with mp.workdps(cfg.working_dps):
+        if isinstance(branch, str):
+            branch = roots_of_poly([Fraction(c) for c in branch.split(",")])
+        engine = PeriodEngine(TrigonalCurve(r, s, branch), cfg)
+        engine.compute()
+    return engine
+
+
+def _offset(engine):
+    """automorphism_offset at base = -abel(K)/2, as riemann_constant calls it."""
+    with mp.workdps(engine.config.working_dps):
+        acan = engine.abel_divisor(canonical_divisor(engine.curve))
+        return automorphism_offset(engine, [-v / 2 for v in acan])
+
+
+def _int_product(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+F = Fraction
+# the offsets the 4^g-candidate battery picked on these curves before the
+# automorphism derivation replaced it
+BATTERY_PICKS = [
+    (1, 2, [F(0), F(1), F(-1)], 20, ((0, 1), (1, 1))),
+    (1, 2, [F(6), F(-1, 3), F(-2)], 20, ((0, 1), (1, 1))),
+    (2, 1, [F(0), F(1), F(-1)], 20, ((0, 1), (0, 1))),
+    (1, 3, [F(0), F(1), F(-1), F(2)], 20, ((0, 1, 1), (1, 0, 1))),
+    (3, 1, [F(0), F(1), F(-1), F(2)], 20, ((0, 1, 1), (0, 1, 0))),
+    (1, 2, "1,1,0,1", 30, ((0, 1), (1, 1))),
+    (0, 4, "1,0,0,0,1", 40, ((0, 1, 1), (1, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("r, s, branch, precision, bits", BATTERY_PICKS,
+                         ids=["1_2", "1_2_thirds", "2_1", "1_3", "3_1", "1_2_roots_of", "quartic"])
+def test_automorphism_offset_is_the_battery_pick(r, s, branch, precision, bits):
+    _R, got = _offset(_engine(r, s, branch, precision))
+    assert got == bits
+
+
+def test_automorphism_matrix_identities_at_genus_4():
+    R, bits = _offset(_engine(2, 3, [F(0), F(1), F(-1), F(2), F(-2)], 20))
+    n = len(R)
+    assert n == 8
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    J = [[(j == i + 4) - (i == j + 4) for j in range(n)] for i in range(n)]
+    RR = _int_product(R, R)
+    assert [[RR[i][j] + R[i][j] + eye[i][j] for j in range(n)] for i in range(n)] == \
+        [[0] * n for _ in range(n)]
+    assert _int_product(RR, R) == eye
+    Rt = [list(col) for col in zip(*R)]
+    assert _int_product(_int_product(Rt, J), R) == J
+    assert bits == ((0, 1, 1, 1), (1, 1, 0, 0))
+
+
+def test_wrong_prediction_is_no_candidate(monkeypatch, capsys):
+    # the battery pick on this curve is ((0, 1), (1, 1)); flip its first bit
+    real = rconst.automorphism_offset
+
+    def wrong(engine, base):
+        R, (top, bottom) = real(engine, base)
+        return R, ((1 - top[0], *top[1:]), bottom)
+
+    monkeypatch.setattr(rconst, "automorphism_offset", wrong)
+    predicted = str(ThetaChar.half_from_bits((1, 1), (1, 1)).to_json())
+    with pytest.raises(NoCandidate, match="fails Riemann vanishing") as exc:
+        riemann_constant(_engine(1, 2, [F(0), F(1), F(-1)], 20))
+    assert predicted in str(exc.value)
+    assert main(["--precision", "20", "rc", "1", "2", "0", "1", "--", "-1"]) == EXIT_VERIFICATION
+    assert predicted in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # Lam scaled off the lattice: its images round badly
+    (lambda kind, k: periods._character(kind, k) * (1 + mp.mpf("1e-6")), "misses the lattice"),
+    # Lam = I reduces exactly, but I + R + R^2 = 3I
+    (lambda kind, k: 1, r"fails I \+ R \+ R\^2"),
+], ids=["off-lattice", "identity"])
+def test_corrupted_automorphism_is_a_precision_loss(monkeypatch, capsys, corrupt, message):
+    monkeypatch.setattr(rconst, "_character", corrupt)
+    with pytest.raises(PrecisionLoss, match=message):
+        _offset(_engine(1, 2, [F(0), F(1), F(-1)], 20))
+    assert main(["--precision", "20", "rc", "1", "2", "0", "1", "--", "-1"]) == EXIT_PRECISION
+    assert "precision failure" in capsys.readouterr().err
