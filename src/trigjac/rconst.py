@@ -5,8 +5,8 @@ The vector kappa of Riemann constants for base point at infinity satisfies
 up to one of the 4^g half-period offsets.  automorphism_offset derives the
 offset from the automorphism (x, w) -> (x, zeta w), which fixes P; a seeded
 battery then confirms it by Riemann vanishing, theta(abel(D) + kappa) = 0 for
-config.BATTERY_SIZE random effective divisors D of degree g-1.  A value between
-the vanishing and non-vanishing bands discards the draw; a non-vanishing one
+config.BATTERY_SIZE random effective divisors D of degree g-1, reused by
+verify_shifted.  A grey-band value discards the draw; a non-vanishing one
 raises NoCandidate, and running out of draws raises PrecisionLoss.
 
 For this curve family the canonical class is twice (g-1+r)P - (sum of the
@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -38,13 +37,17 @@ from .theta import ThetaChar, classify_vanishing, theta_value
 class RiemannConstant:
     delta: tuple
     offset_bits: tuple
-    decisive_rounds: int
+    battery: list  # (abel(D), |theta(abel(D) + kappa)| / scale) per decisive draw
+
+    @property
+    def decisive_rounds(self) -> int:
+        return len(self.battery)
 
 
 @dataclass
 class ShiftedConstant:
-    delta: tuple
     delta_s: tuple
+    branch_abel: tuple
     char: ThetaChar
     char_residual: object
     lattice_dist_2delta_s: object
@@ -137,10 +140,10 @@ def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
         ch = ThetaChar.half_from_bits(*bits)
         off = ch.vector(data.tau)
         rng = random.Random(config.seed)
-        decisive = 0
+        battery = []
         draws = 0
         max_draws = 6 * BATTERY_SIZE + 10
-        while decisive < BATTERY_SIZE and draws < max_draws:
+        while len(battery) < BATTERY_SIZE and draws < max_draws:
             draws += 1
             pts = random_effective_points(curve, g - 1, rng)
             zD = engine.abel_divisor(points_divisor(curve, pts))
@@ -149,14 +152,15 @@ def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
             verdict = classify_vanishing(abs(val), scale, config)
             if verdict is False:
                 raise NoCandidate(f"predicted offset {ch.to_json()} fails Riemann vanishing")
-            decisive += verdict is True
-        if decisive < BATTERY_SIZE:
+            if verdict:
+                battery.append((zD, abs(val) / scale))
+        if len(battery) < BATTERY_SIZE:
             raise PrecisionLoss(
-                f"only {decisive} of {BATTERY_SIZE} battery rounds decisive"
+                f"only {len(battery)} of {BATTERY_SIZE} battery rounds decisive"
                 f" after {draws} draws"
             )
         delta = tuple(base[l] + off[l] for l in range(g))
-        result = RiemannConstant(delta=delta, offset_bits=bits, decisive_rounds=decisive)
+        result = RiemannConstant(delta=delta, offset_bits=bits, battery=battery)
         engine._rconst_memo = result
         return result
 
@@ -194,8 +198,8 @@ def shifted_constant(engine: PeriodEngine) -> ShiftedConstant:
             )
         red_unshifted = engine.lattice_reduce([2 * v for v in rc.delta])
         result = ShiftedConstant(
-            delta=rc.delta,
             delta_s=delta_s,
+            branch_abel=tuple(aB),
             char=char,
             char_residual=residual,
             lattice_dist_2delta_s=2 * residual,
@@ -227,9 +231,7 @@ def published_characteristic(curve: TrigonalCurve) -> ThetaChar | None:
                 return None
         elif abs(mp.mpc(c) - t) > mp.mpf("1e-30"):
             return None
-    h = Fraction(1, 2)
-    z = Fraction(0)
-    return ThetaChar(top=(z, h, z), bottom=(z, h, z))
+    return ThetaChar.half_from_bits((0, 1, 0), (0, 1, 0))
 
 
 def match_published(engine: PeriodEngine) -> dict:
@@ -269,21 +271,29 @@ def match_published(engine: PeriodEngine) -> dict:
         "ok": bool(witness is not None and got.parity() == expected.parity()),
     }
 
+def _decide(value_abs, scale, config, probe: str) -> bool:
+    verdict = classify_vanishing(value_abs, scale, config)
+    if verdict is None:
+        raise PrecisionLoss(f"{probe} lands in the theta grey band")
+    return verdict
+
+
 def verify_shifted(engine: PeriodEngine) -> dict:
     """End-to-end checks of the shifted-constant statements.
 
     Returns a report with: the half-period property of the shifted constant,
     the characteristic and its rounding residual, theta-vanishing of
-    abel(D + B-branch sum) under the extracted characteristic for a battery of
-    BATTERY_SIZE random effective divisors of degree g-1, the same vanishing
-    phrased through the plain theta function at abel(D) + abel(B-sum) +
-    shifted constant, an off-divisor non-vanishing control, numeric parity against
-    the characteristic parity formula, central symmetry of the shifted theta
-    divisor, and exact 3-torsion of the class of (B-sum) - r*P.
+    abel(D + B-branch sum) under the extracted characteristic on the decisive
+    draws D of riemann_constant (none is drawn here), the same vanishing through
+    the plain theta, which that battery evaluated, an off-divisor non-vanishing
+    control, numeric parity against the characteristic parity formula, central
+    symmetry at the first draw, and exact 3-torsion of the class of
+    (B-sum) - r*P.  A theta value in the grey band raises PrecisionLoss.
     """
     curve = engine.curve
     config = engine.config
     g = curve.genus
+    rc = riemann_constant(engine)
     sc = shifted_constant(engine)
     data = engine.compute()
     report = {
@@ -294,30 +304,23 @@ def verify_shifted(engine: PeriodEngine) -> dict:
         "parity_formula": sc.char.parity(),
     }
     with mp.workdps(config.working_dps):
-        B = frak_B(curve)
-        rng = random.Random(config.seed + 1)
-        worst_vanish = mp.mpf(0)
-        worst_plain = mp.mpf(0)
-        for _ in range(BATTERY_SIZE):
-            pts = random_effective_points(curve, g - 1, rng)
-            z = engine.abel_divisor(B + points_divisor(curve, pts))
-            val, scale = theta_value(z, data.tau, sc.char)
-            worst_vanish = max(worst_vanish, abs(val) / scale)
-            # same locus through the plain theta: shift the argument instead
-            # of the characteristic
-            zs = [z[l] + sc.delta_s[l] for l in range(g)]
-            vplain, splain = theta_value(zs, data.tau)
-            worst_plain = max(worst_plain, abs(vplain) / splain)
-        report["vanishing_worst_rel"] = worst_vanish
-        report["vanishing_ok"] = bool(worst_vanish <= config.vanish_tol)
+        aB = sc.branch_abel
+        zs = [[zD[l] + aB[l] for l in range(g)] for zD, _rel in rc.battery]
+        vals = [theta_value(z, data.tau, sc.char) for z in zs]
+        verdicts = [_decide(abs(v), s, config, "characteristic battery") for v, s in vals]
+        report["vanishing_worst_rel"] = max(abs(v) / s for v, s in vals)
+        report["vanishing_ok"] = all(verdicts)
+        # same locus through the plain theta: theta(z + delta_s) = theta(abel(D) + kappa)
+        worst_plain = max(rel for _zD, rel in rc.battery)
         report["plain_shift_worst_rel"] = worst_plain
         report["plain_shift_ok"] = bool(worst_plain <= config.vanish_tol)
 
         # off-divisor control: a random point should not be on the divisor
+        rng = random.Random(config.seed + 1)
         zoff = [mp.mpc(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45)) for _ in range(g)]
         voff, soff = theta_value(zoff, data.tau, sc.char)
         report["offdiv_rel"] = abs(voff) / soff
-        report["offdiv_ok"] = bool(abs(voff) >= config.nonvanish_floor * soff)
+        report["offdiv_ok"] = not _decide(abs(voff), soff, config, "off-divisor control")
 
         # numeric parity: theta[d](-z) = parity * theta[d](z)
         vneg, _ = theta_value([-v for v in zoff], data.tau, sc.char)
@@ -327,16 +330,12 @@ def verify_shifted(engine: PeriodEngine) -> dict:
 
         # theta divisor of the shifted function is centrally symmetric:
         # abel(D + B-sum) lies on it, so its negative must as well
-        rng2 = random.Random(config.seed + 2)
-        pts = random_effective_points(curve, g - 1, rng2)
-        z = engine.abel_divisor(B + points_divisor(curve, pts))
-        vneg2, sneg2 = theta_value([-v for v in z], data.tau, sc.char)
+        vneg2, sneg2 = theta_value([-v for v in zs[0]], data.tau, sc.char)
         report["symmetric_divisor_rel"] = abs(vneg2) / sneg2
-        report["symmetric_divisor_ok"] = bool(abs(vneg2) <= config.vanish_tol * sneg2)
+        report["symmetric_divisor_ok"] = _decide(abs(vneg2), sneg2, config, "central symmetry")
 
         # the class of (B-sum) - r*P is killed by 3; it is nontrivial exactly
         # when the branch sum is nonempty
-        aB = engine.abel_divisor(B)
         torsion3 = engine.lattice_reduce([3 * v for v in aB])
         report["torsion3_dist"] = torsion3.dist
         torsion3_ok = bool(torsion3.dist <= config.lattice_tol)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from trigjac import PeriodEngine, RunConfig, TrigonalCurve, periods, rconst, roots_of_poly
+from trigjac import PeriodEngine, RunConfig, TrigonalCurve, cli, periods, rconst, roots_of_poly
 from trigjac.cli import EXIT_PRECISION, EXIT_VERIFICATION, main
 from trigjac.divisor import canonical_divisor
 from trigjac.errors import NoCandidate, PrecisionLoss
@@ -81,16 +81,79 @@ def test_characteristic_roundtrip(engine12, config40):
             assert char.top == ch.top and char.bottom == ch.bottom, k
 
 
-def test_verify_shifted_report(engine12, monkeypatch):
-    # the session engine keeps its 20-round Riemann constant; only the
-    # verification battery is cut short
-    riemann_constant(engine12)
-    monkeypatch.setattr(rconst, "BATTERY_SIZE", 6)
+def test_verify_shifted_report(engine12):
     report = verify_shifted(engine12)
     assert report["ok"], report
     assert report["vanishing_ok"] and report["plain_shift_ok"] and report["offdiv_ok"]
     assert report["parity_ok"] and report["symmetric_divisor_ok"]
     assert report["torsion3_ok"]
+
+
+def test_verify_shifted_reuses_the_battery_draws(engine12, monkeypatch):
+    # every divisor comes from the riemann_constant battery: no draw, no Abel
+    # point, one theta per battery draw plus off-divisor, parity and symmetry
+    rc = riemann_constant(engine12)
+    abel_calls, theta_calls = [], []
+    real_abel, real_theta = PeriodEngine.abel_point, rconst.theta_value
+
+    def no_draw(*args):
+        raise AssertionError("verify_shifted drew a divisor")
+
+    def abel_point(self, pt):
+        abel_calls.append(pt)
+        return real_abel(self, pt)
+
+    def theta(*args):
+        theta_calls.append(args)
+        return real_theta(*args)
+
+    monkeypatch.setattr(rconst, "random_effective_points", no_draw)
+    monkeypatch.setattr(PeriodEngine, "abel_point", abel_point)
+    monkeypatch.setattr(rconst, "theta_value", theta)
+    report = verify_shifted(engine12)
+    assert report["ok"], report
+    assert abel_calls == []
+    assert len(theta_calls) == rconst.BATTERY_SIZE + 3
+    assert report["plain_shift_worst_rel"] == max(rel for _z, rel in rc.battery)
+
+
+@pytest.mark.parametrize("call, probe", [
+    (0, "characteristic battery"),
+    (rconst.BATTERY_SIZE - 1, "characteristic battery"),
+    (rconst.BATTERY_SIZE, "off-divisor control"),
+    (rconst.BATTERY_SIZE + 1, "central symmetry"),
+], ids=["first-draw", "last-draw", "off-divisor", "symmetry"])
+def test_grey_band_in_verify_shifted_is_a_precision_loss(engine12, monkeypatch, call, probe):
+    # the battery itself decides with the real verdicts; only the given call
+    # inside verify_shifted lands in the grey band
+    riemann_constant(engine12)
+    real = rconst.classify_vanishing
+    calls = []
+
+    def classify(value_abs, scale, config):
+        calls.append(value_abs)
+        return None if len(calls) == call + 1 else real(value_abs, scale, config)
+
+    monkeypatch.setattr(rconst, "classify_vanishing", classify)
+    with pytest.raises(PrecisionLoss, match=f"{probe} lands in the theta grey band"):
+        verify_shifted(engine12)
+
+
+def test_grey_band_in_verify_exits_4(monkeypatch, capsys):
+    inside = []
+    real_verify, real_classify = rconst.verify_shifted, rconst.classify_vanishing
+
+    def verify(engine):
+        inside.append(engine)
+        return real_verify(engine)
+
+    def classify(value_abs, scale, config):
+        return None if inside else real_classify(value_abs, scale, config)
+
+    monkeypatch.setattr(cli, "verify_shifted", verify)
+    monkeypatch.setattr(rconst, "classify_vanishing", classify)
+    assert main(["--precision", "20", "verify", "1", "2", "0", "1", "--", "-1"]) == EXIT_PRECISION
+    assert "grey band" in capsys.readouterr().err
 
 
 def test_no_published_value_for_generic_member(engine12):
