@@ -66,7 +66,7 @@ class BaseGeometry:
 
 
 def seg_point_dist(a, b, p):
-    """Distance from p to the segment [a, b], for complex floats."""
+    """Distance from p to the segment [a, b], for complex floats or mpc."""
     d = b - a
     L2 = abs(d) ** 2
     if L2 == 0.0:

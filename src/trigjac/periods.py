@@ -5,14 +5,16 @@ restored analytically: w, a cube root of A*B^2 = prod (x-b)^m_b, is continued
 from the start x1 of a chord to any point x on it as
 w(x1) * exp(1/3 sum_b m_b Log((x-b)/(x1-b))).  Each factor runs along a
 segment from 1 that never meets the cut (-inf, 0] while the chord misses b, so
-the principal logs give the exact continuation without subdivision.
+the principal logs give the exact continuation without subdivision.  Plain
+chords run it in complex doubles only to name the cube root of unity taking the
+principal cube root of A*B^2, one mp log, to w, and in mp where doubles cannot.
 
 The Abel map of a smooth point integrates the one straight chord from the
 base point x0 to it.  Such a plain chord is analytic.  It is bisected into
 pieces no longer than the distance from their centre to the nearest root, and
-every piece is integrated with one Gauss-Legendre rule whose node count is
-fixed in advance by the working precision; a chord that grazes a root only
-needs more pieces, and one through a root raises PathCrossesBranchPoint.
+every piece is integrated with the Gauss-Legendre rule of its own Bernstein
+ellipse; a chord that grazes a root only needs more pieces, and one through a
+root raises PathCrossesBranchPoint.
 Tanh-sinh quadrature serves only the chords with endpoint singularities: the
 branch chords and the tail to infinity.  On a chord ending at a branch point b
 the vanishing factor (x-b)^m is split off and handled in closed form, so
@@ -33,6 +35,7 @@ them on load by the same assembly code the cold computation runs.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import json
 import math
@@ -42,7 +45,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import mpmath as mp
-from mpmath.calculus.quadrature import GaussLegendre
 
 from .config import DEFAULT_CONFIG, GUARD_DIGITS, QUAD_MAX_LEVEL, RunConfig
 from .curve import PointOnCurve, TrigonalCurve, decisive_sheet
@@ -53,6 +55,7 @@ from .homology import (
     candidate_words,
     choose_base_geometry,
     intersection_matrix,
+    seg_point_dist,
     symplectic_basis,
 )
 from .polyutil import root_product
@@ -117,6 +120,45 @@ def _cuberoot_along(roots, mults, x1, w1):
     return w_at
 
 
+def _cuberoot_guide(roots, mults, x1, w1):
+    """The formula of _cuberoot_along in complex doubles, for complex x."""
+    factors = [(complex(b), m, 1 / (complex(x1) - complex(b))) for b, m in zip(roots, mults)]
+    w1 = complex(w1)
+    return lambda x: w1 * cmath.exp(sum(m * cmath.log((x - b) * inv) for b, m, inv in factors) / 3)
+
+
+# Doubles resolve x - b only to about 1e-16 (|x| + |b|): a chord passing a root
+# closer than 1e-9 of that could cross a log cut on the wrong side in them.
+_GRAZE = mp.mpf("1e-9")
+
+
+def _chord_values(roots, mults, x1, w1, x2):
+    """x -> (A B, w) on [x1, x2]: w is the principal cube root of A B^2 times
+    the cube root of unity nearest _cuberoot_guide, or _cuberoot_along's value
+    where the doubles overflow or name none decisively, or the chord grazes a root.
+    """
+    slow = _cuberoot_along(roots, mults, x1, w1)
+    scale = abs(x1) + abs(x2) + max(abs(b) for b in roots)
+    if min(seg_point_dist(x1, x2, b) for b in roots) <= _GRAZE * scale:
+        return lambda x: (root_product(roots, x), slow(x))
+    guide = _cuberoot_guide(roots, mults, x1, w1)
+    zetas = [_zeta(k) for k in range(3)]
+    b_roots = [b for b, m in zip(roots, mults) if m == 2]
+
+    def values(x):
+        ab = root_product(roots, x)
+        w = mp.exp(mp.log(ab * root_product(b_roots, x)) / 3)
+        try:
+            near, w_d = guide(complex(x)), complex(w)
+            dists = [abs(near - complex(z) * w_d) for z in zetas]
+        except (OverflowError, ValueError):
+            dists = [math.nan]
+        k = decisive_sheet(dists) if all(map(math.isfinite, dists)) else None
+        return ab, slow(x) if k is None else zetas[k] * w
+
+    return values
+
+
 def _form_values(forms, x, w, ab, dx) -> list:
     """The integrands x^a w/(A B) dx and x^a dx/w of the forms at one point."""
     y_factor = w / ab * dx
@@ -131,29 +173,26 @@ def _form_values(forms, x, w, ab, dx) -> list:
     return vals
 
 
-# A chord piece no longer than the distance from its centre to the nearest
-# root maps onto [-1, 1] with every root at |s| >= 2, outside the Bernstein
-# ellipse of parameter rho = 2 + sqrt(3) (semi-axes 2 and sqrt(3)).  There an
-# n-node Gauss-Legendre rule errs by O(rho^(-2n)).
-_LOG10_RHO = math.log10(2 + math.sqrt(3))
+_RHO_MARGIN = mp.mpf("1.25")  # absorbs the constant of the O(rho^(-2n)) bound
 _GL_RULES: dict[tuple[int, int], list] = {}
 
 
-def _gauss_legendre_rule() -> list:
-    """(node, weight) pairs on [-1, 1] with rho^(-2n) below 10^-dps.
+def _piece_rule(roots, c, h) -> list:
+    """(node, weight) pairs on [-1, 1] for the chord piece c + h*[-1, 1].
 
-    mpmath's rule of degree k has n = 3 * 2^(k-1) nodes; the smallest
-    degree meeting the bound at the ambient dps is taken, and its nodes are
-    computed once per (binary precision, degree).
+    A root b at z = (b - c)/h lies on the Bernstein ellipse of parameter
+    |z + sqrt(z-1) sqrt(z+1)|; inside the smallest, of parameter rho, an
+    n-node rule errs by O(rho^(-2n)) (Trefethen, Approximation Theory and
+    Approximation Practice, 2013, Thm. 19.3).  n is the least multiple of 8
+    with (rho/1.25)^(-2n) <= 10^-dps; rules are cached per (prec, n).
     """
-    degree = 1
-    while 6 * 2 ** (degree - 1) * _LOG10_RHO <= mp.mp.dps:
-        degree += 1
-    key = (mp.mp.prec, degree)
-    rule = _GL_RULES.get(key)
-    if rule is None:
-        rule = _GL_RULES[key] = GaussLegendre(mp.mp).calc_nodes(degree, mp.mp.prec)
-    return rule
+    rho = min(abs(z + mp.sqrt(z - 1) * mp.sqrt(z + 1)) for z in ((b - c) / h for b in roots))
+    n = 8 * int(mp.ceil(mp.mp.dps * mp.ln10 / (16 * mp.log(rho / _RHO_MARGIN))))
+    key = (mp.mp.prec, n)
+    if key not in _GL_RULES:
+        X, W = mp.gauss_quadrature(n, "legendre")
+        _GL_RULES[key] = list(zip(X, W))
+    return _GL_RULES[key]
 
 
 def _split_chord(roots, x1, x2) -> list[tuple]:
@@ -165,7 +204,7 @@ def _split_chord(roots, x1, x2) -> list[tuple]:
     being distinct.
     """
     pieces = []
-    stack = [(x1, x2, 0)]
+    stack = [(x1, x2, 0)] if x1 != x2 else []
     while stack:
         a, b, depth = stack.pop()
         c = (a + b) / 2
@@ -312,22 +351,21 @@ class PeriodEngine:
     def _plain_segment(self, x1, w1, x2):
         """Integrals along a chord avoiding branch roots; returns (vals, w at x2).
 
-        The chord is split into root-clear pieces, each integrated with one
-        Gauss-Legendre rule fixed by the working precision; w is continued
-        from x1 to every node directly.
+        The chord is split into root-clear pieces, each integrated with the
+        Gauss-Legendre rule of its own Bernstein ellipse; w is continued from
+        x1 to every node directly.
         """
         roots = self._roots
         pieces = _split_chord(roots, x1, x2)
-        rule = _gauss_legendre_rule()
-        w_at = _cuberoot_along(roots, self._mults, x1, w1)
+        values = _chord_values(roots, self._mults, x1, w1, x2)
         totals = [mp.mpc(0)] * len(self.forms)
         for c, h in pieces:
-            for s, wt in rule:
+            for s, wt in _piece_rule(roots, c, h):
                 x = c + h * s
-                ab = root_product(roots, x)
-                vals = _form_values(self.forms, x, w_at(x), ab, h * wt)
+                ab, w = values(x)
+                vals = _form_values(self.forms, x, w, ab, h * wt)
                 totals = [t + v for t, v in zip(totals, vals)]
-        return totals, w_at(x2)
+        return totals, values(x2)[1]
 
     # -- main computation -------------------------------------------------
 

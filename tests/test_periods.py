@@ -13,12 +13,13 @@ from mpmath import mp
 
 from trigjac import periods
 from trigjac.cli import EXIT_OK, main
-from trigjac.curve import TrigonalCurve
+from trigjac.curve import TrigonalCurve, roots_of_poly
 from trigjac.divisor import frak_B, place_P, points_divisor, principal_divisor
 from trigjac.errors import PathCrossesBranchPoint, PrecisionLoss
 from trigjac.homology import seg_point_dist
-from trigjac.periods import PeriodEngine, _gauss_legendre_rule, _split_chord
+from trigjac.periods import PeriodEngine, _cuberoot_along, _form_values, _piece_rule, _split_chord
 from trigjac.config import RunConfig
+from trigjac.polyutil import root_product
 from trigjac.quadrature import tanh_sinh_batch
 from trigjac.rconst import random_effective_points
 
@@ -225,9 +226,10 @@ def test_precision_escalation_shrinks_abel_residual():
 # -- plain chords: Gauss-Legendre on root-clear pieces ------------------------
 
 
-def tanh_sinh_chord(engine, x1, w1, x2, p):
+def tanh_sinh_chord(engine, x1, w1, x2, p, tol=None):
     """Reference chord integrals: tanh-sinh on [x1, p] and [p, x2], with w
-    continued from x1 by the principal log of every root factor."""
+    continued from x1 by the principal log of every root factor, converged to
+    tol (by default 10^(5 - dps))."""
     totals = [mp.mpc(0)] * len(engine.forms)
     for a, b in ((x1, p), (p, x2)):
         d = b - a
@@ -246,11 +248,23 @@ def tanh_sinh_chord(engine, x1, w1, x2, p):
                             for k, kind in engine.forms])
             return out
 
-        tol = mp.mpf(10) ** (-(mp.dps - 5))
+        tol = mp.mpf(10) ** (-(mp.dps - 5)) if tol is None else tol
         res = tanh_sinh_batch(eval_batch, len(engine.forms), tol, 12)
         assert res.last_delta < tol, "reference did not converge"
         totals = [t + v for t, v in zip(totals, res.values)]
     return totals
+
+
+def bernstein_rho(roots, c, h):
+    """The parameter rho of the smallest Bernstein ellipse of the piece
+    c + h*[-1, 1] through a root: the focal distances of the root sum to
+    rho + 1/rho."""
+    rho = mp.inf
+    for b in roots:
+        z = (b - c) / h
+        a = (abs(z - 1) + abs(z + 1)) / 2
+        rho = min(rho, a + mp.sqrt(a**2 - 1))
+    return rho
 
 
 def near_root_chord(engine):
@@ -269,15 +283,140 @@ def test_plain_chord_near_root_matches_tanh_sinh(engine12, config40, escalate):
         x1, x2, p = near_root_chord(engine12)
         w1 = engine._w0_at(x1)
         got, w2 = engine._plain_segment(x1, w1, x2)
-        # the rule is fixed by the working precision alone
-        n = len(_gauss_legendre_rule())
-        assert 2 * n * mp.log10(2 + mp.sqrt(3)) > cfg.working_dps
+        # every piece's rule meets the bound of its own Bernstein ellipse
+        for c, h in _split_chord(engine._roots, x1, x2):
+            n = len(_piece_rule(engine._roots, c, h))
+            assert (bernstein_rho(engine._roots, c, h) / mp.mpf("1.25")) ** (-2 * n) \
+                <= mp.mpf(10) ** (-cfg.working_dps)
         # the continued w is a cube root of A B^2 at x2
         assert abs(w2**3 - engine._w0_at(x2) ** 3) < tol
     with mp.workdps(cfg.working_dps + 10):
         want = tanh_sinh_chord(engine, x1, w1, x2, p)
     for a, b in zip(got, want):
         assert abs(a - b) < tol * max(1, abs(b)), (mp.nstr(a, 20), mp.nstr(b, 20))
+
+
+def quartic_engine(precision):
+    """w^3 = x^4 + 1, with the roots the CLI's --roots-of 1,0,0,0,1 gives."""
+    cfg = RunConfig(precision=precision)
+    with mp.workdps(cfg.working_dps):
+        return PeriodEngine(TrigonalCurve(0, 4, roots_of_poly([1, 0, 0, 0, 1])), cfg)
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+def test_plain_chord_grazing_a_complex_root_matches_tanh_sinh(side):
+    # the chord passes 1e-20 from the root e^(i pi/4), far closer than a
+    # complex double resolves; below the root, a cube root of unity picked
+    # from doubles would put w on the wrong sheet past it
+    engine = quartic_engine(40)
+    with mp.workdps(engine.config.working_dps):
+        roots = engine._roots
+        root = min(roots, key=lambda r: abs(r - mp.expjpi(mp.mpf(1) / 4)))
+        p = root + side * 1j * mp.mpf("1e-20")
+        x1, x2 = p - mp.mpf("0.8"), p + mp.mpf("0.7")
+        w1 = engine._w0_at(x1)
+        got, w2 = engine._plain_segment(x1, w1, x2)
+        want_w2 = _cuberoot_along(roots, engine._mults, x1, w1)(x2)
+        assert abs(w2 - want_w2) < mp.mpf(10) ** (-(mp.dps - 5)) * abs(want_w2)
+        # the root is rounded to dps digits, so x - root keeps about dps - 20
+        # of them where the chord passes it; a wrong sheet errs in digit 5
+        tol = mp.mpf(10) ** (-(mp.dps - 25))
+    with mp.workdps(engine.config.working_dps + 10):
+        want = tanh_sinh_chord(engine, x1, w1, x2, p, tol)
+    for a, b in zip(got, want):
+        assert abs(a - b) < tol * max(1, abs(b)), (mp.nstr(a, 20), mp.nstr(b, 20))
+
+
+def _agreement_engine(name, precision):
+    if name == "quartic":
+        return quartic_engine(precision)
+    cfg = RunConfig(precision=precision)
+    branch = {
+        "(1,2)": (1, 2, [Fraction(0), Fraction(1), Fraction(-1)]),
+        "(1,3)": (1, 3, [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]),
+        "decimal": (1, 2, [mp.mpc(0.5), mp.mpc(1), mp.mpc(-1)]),
+    }[name]
+    with mp.workdps(cfg.working_dps):
+        return PeriodEngine(TrigonalCurve(*branch), cfg)
+
+
+def _refuse(x):
+    raise AssertionError("a point fell back to one log per root")
+
+
+@pytest.mark.parametrize("precision", [20, 40], ids=["p20", "p40"])
+@pytest.mark.parametrize("name", ["(1,2)", "(1,3)", "quartic", "decimal"])
+def test_one_log_continuation_matches_per_root_logs(monkeypatch, name, precision):
+    engine = _agreement_engine(name, precision)
+    with mp.workdps(engine.config.working_dps):
+        roots, mults = engine._roots, engine._mults
+        pts = random_effective_points(engine.curve, 8, random.Random(22))
+        chords = [(a.x, a.w, b.x) for a, b in zip(pts[::2], pts[1::2])]
+        slows = [_cuberoot_along(roots, mults, x1, w1) for x1, w1, _ in chords]
+        # on these chords no point may fall back to _cuberoot_along
+        monkeypatch.setattr(periods, "_cuberoot_along", lambda *args: _refuse)
+        tol = mp.mpf(10) ** (-(mp.dps - 3))
+        for (x1, w1, x2), slow in zip(chords, slows):
+            values = periods._chord_values(roots, mults, x1, w1, x2)
+            for t in range(1, 9):
+                x = x1 + (x2 - x1) * t / 8
+                ab, w = values(x)
+                assert ab == root_product(roots, x)
+                assert abs(w - slow(x)) <= tol * abs(w)
+
+
+@pytest.mark.parametrize("guide", [complex("nan"), complex("inf")], ids=["nan", "inf"])
+def test_undecided_guide_falls_back_to_per_root_logs_bit_for_bit(monkeypatch, engine12,
+                                                                 config40, guide):
+    with mp.workdps(config40.working_dps):
+        x1, x2, _ = near_root_chord(engine12)
+        w1 = engine12._w0_at(x1)
+        roots, forms = engine12._roots, engine12.forms
+        slow = _cuberoot_along(roots, engine12._mults, x1, w1)
+        want = [mp.mpc(0)] * len(forms)
+        for c, h in _split_chord(roots, x1, x2):
+            for s, wt in _piece_rule(roots, c, h):
+                x = c + h * s
+                vals = _form_values(forms, x, slow(x), root_product(roots, x), h * wt)
+                want = [t + v for t, v in zip(want, vals)]
+        monkeypatch.setattr(periods, "_cuberoot_guide", lambda *args: lambda x: guide)
+        got, w2 = engine12._plain_segment(x1, w1, x2)
+        assert got == want and w2 == slow(x2)
+
+
+def test_chord_of_length_zero_integrates_to_zero(engine12, config40):
+    # the Abel point over the base point x0 itself: no piece, w unchanged
+    with mp.workdps(config40.working_dps):
+        x0 = mp.mpc(engine12.compute().geo.x0)
+        w0 = engine12._w0_at(x0)
+        assert engine12._plain_segment(x0, w0, x0) == ([0] * len(engine12.forms), w0)
+
+
+def test_abel_point_node_budget(monkeypatch):
+    # integrand evaluations of the plain chords over a fixed seeded set of
+    # Abel points on (1,3) at 40 digits: a cost count no machine changes
+    cfg = RunConfig(precision=40)
+    with mp.workdps(cfg.working_dps):
+        curve = TrigonalCurve(1, 3, [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)])
+    engine = PeriodEngine(curve, cfg)
+    engine.compute()
+    counts = {"nodes": 0, "pieces": 0}
+
+    def counted(fn, key, size):
+        def wrapped(*args):
+            out = fn(*args)
+            counts[key] += size(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(periods, "_form_values", counted(_form_values, "nodes", lambda _: 1))
+    monkeypatch.setattr(periods, "_split_chord", counted(_split_chord, "pieces", len))
+    with mp.workdps(cfg.working_dps):
+        for pt in random_effective_points(curve, 8, random.Random(22)):
+            engine.abel_point(pt)
+    # a fixed 48-node rule would take 48 * 43 = 2064
+    assert counts == {"nodes": 1888, "pieces": 43}
+    assert counts["nodes"] < 48 * counts["pieces"]
 
 
 class CountingRoots(list):
