@@ -4,7 +4,9 @@ All numerical tolerances are derived from a single decimal-digit precision
 parameter p so that escalating p tightens every check consistently:
 
 * lattice / identity residuals are required below 10^-(p-8),
-* quadrature convergence between consecutive levels below 10^-(p-5),
+* quad_tol = 10^-(p-5) targets tanh-sinh convergence between levels; it is
+  not enforced (the rule stops at QUAD_MAX_LEVEL regardless), and the largest
+  delta is reported as quad_delta_max,
 * theta vanishing is relative: |theta| < 10^-(p/2) * scale,
 * theta non-vanishing requires |theta| > 10^-(p/4) * scale,
 

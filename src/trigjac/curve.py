@@ -43,6 +43,11 @@ def is_exact_scalar(v) -> bool:
     return isinstance(v, (int, Fraction))
 
 
+def zeta(k: int):
+    """The cube root of unity exp(2 pi i k / 3)."""
+    return mp.exp(2j * mp.pi * (k % 3) / 3)
+
+
 def decisive_sheet(values) -> int | None:
     """Index of the smallest of three per-sheet values, or None when it is
     not below 1e-6 times the runner-up."""
@@ -238,7 +243,7 @@ class TrigonalCurve:
             v = self.ab2_mp(xm)
             if v == 0:
                 raise ValidationError("x is a branch point; use a branch place instead")
-            w = mp.root(v, 3) * mp.exp(2j * mp.pi * (sheet % 3) / 3)
+            w = mp.root(v, 3) * zeta(sheet)
         wm = mp.mpc(w)
         if wm == 0:
             # only branch fibers carry w = 0, and there y vanishes as well
@@ -342,7 +347,7 @@ class PointOnCurve:
 
     def conjugate(self, k: int = 1) -> "PointOnCurve":
         """Apply the deck transformation (w, y) -> (zeta^k w, zeta^{2k} y)."""
-        z = mp.exp(2j * mp.pi * k / 3)
+        z = zeta(k)
         return PointOnCurve(curve=self.curve, x=self.x, w=self.w * z, y=self.y * z**2)
 
 

@@ -47,7 +47,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .config import DEFAULT_CONFIG, GUARD_DIGITS, QUAD_MAX_LEVEL, RunConfig
-from .curve import PointOnCurve, TrigonalCurve, decisive_sheet
+from .curve import PointOnCurve, TrigonalCurve, decisive_sheet, zeta
 from .divisor import Divisor
 from .errors import PathCrossesBranchPoint, PrecisionLoss, VerificationError
 from .homology import (
@@ -142,7 +142,7 @@ def _chord_values(roots, mults, x1, w1, x2):
     if min(seg_point_dist(x1, x2, b) for b in roots) <= _GRAZE * scale:
         return lambda x: (root_product(roots, x), slow(x))
     guide = _cuberoot_guide(roots, mults, x1, w1)
-    zetas = [_zeta(k) for k in range(3)]
+    zetas = [zeta(k) for k in range(3)]
     b_roots = [b for b, m in zip(roots, mults) if m == 2]
 
     def values(x):
@@ -241,13 +241,9 @@ class PeriodData:
     diagnostics: dict
 
 
-def _zeta(k: int):
-    return mp.exp(2j * mp.pi * (k % 3) / 3)
-
-
 def _character(kind: str, k: int):
     # sheet shift j multiplies 1/y by zeta^j and 1/w by zeta^(-j)
-    return _zeta(k) if kind == "y" else _zeta(-k)
+    return zeta(k) if kind == "y" else zeta(-k)
 
 
 class PeriodEngine:
@@ -542,8 +538,7 @@ class PeriodEngine:
             x0 = mp.mpc(data.geo.x0)
             totals, w_end = self._plain_segment(x0, self._w0_at(x0), mp.mpc(pt.x))
             # identify the sheet shift of the requested lift
-            zeta = mp.exp(2j * mp.pi / 3)
-            dists = [abs(pt.w - zeta**k * w_end) for k in range(3)]
+            dists = [abs(pt.w - zeta(k) * w_end) for k in range(3)]
             # sheets are separated by |w|*sqrt(3); demand a clear winner
             j = decisive_sheet(dists)
             if j is None:

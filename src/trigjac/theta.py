@@ -6,10 +6,12 @@ theta[d](z, tau) = sum over n in Z^g of
 The sum is truncated to the ellipsoid where the Gaussian factor still
 contributes at the working precision: with Y = Im tau = L L^T the magnitude of
 a term is exp(pi y^T Y^-1 y) * exp(-pi |L^T nu|^2), nu = n + d' + Y^-1 y and
-y = Im(z + d''), so integer points are enumerated with |L^T nu| below a radius
-set by the precision.  Alongside the value the maximum term magnitude is
-returned; vanishing on the theta divisor is only meaningful relative to that
-scale.
+y = Im(z + d''), so |L^T nu| stays below a radius set by the precision.  One
+walk over the ellipsoid, last coordinate first, sums the series as it goes:
+each level carries the exponent of the coordinates already fixed and the
+linear coefficient they give each lower one.  Alongside the value the maximum
+term magnitude is returned; vanishing on the theta divisor is only meaningful
+relative to that scale.
 """
 
 from __future__ import annotations
@@ -116,16 +118,34 @@ def imag_cholesky(tau):
     return Y, L
 
 
-def _ellipsoid_points(R, center, radius):
-    """Integer vectors n with |R (n + center)| <= radius, R upper triangular."""
-    g = R.rows
-    out = []
-    point = [0] * g
+def theta_value(z: Sequence, tau, char: ThetaChar | None = None):
+    """Return (theta[char](z, tau), scale) with scale = max term magnitude."""
+    g = tau.rows
+    if char is None:
+        char = ThetaChar.zero(g)
+    if char.genus != g:
+        raise ValueError("characteristic size does not match tau")
+    dp, dq = char.entries_mp()
+    zq = [mp.mpc(z[i]) + dq[i] for i in range(g)]  # z + d''
 
-    def rec(i, rem2):
-        if i < 0:
-            out.append(tuple(point))
-            return
+    Y, L = imag_cholesky(tau)
+    R = L.T
+    Yinv_y = mp.lu_solve(Y, [v.imag for v in zq])
+    center = [dp[i] + Yinv_y[i] for i in range(g)]
+
+    radius = mp.sqrt((mp.mp.dps + 6) * mp.log(10) / mp.pi) + mp.mpf(2)
+
+    # tau_jk + tau_kj, not 2 tau_jk: tau is symmetric only up to rounding
+    pi_i = mp.pi * 1j
+    diag = [pi_i * tau[i, i] for i in range(g)]
+    cross = [[pi_i * (tau[j, k] + tau[k, j]) for k in range(g)] for j in range(g)]
+    point = [0] * g
+    total = mp.mpc(0)
+    scale = mp.mpf(0)
+
+    def rec(i, rem2, expo, lin):
+        nonlocal total, scale
+        # lin[j], j <= i: coefficient of nu_j given the fixed coordinates above i
         # coordinate i enters through (R[i,i]*(n_i + c_i) + s_i)^2 <= rem2
         s = mp.mpf(0)
         for j in range(i + 1, g):
@@ -138,52 +158,17 @@ def _ellipsoid_points(R, center, radius):
             rem_next = rem2 - t * t
             if rem_next < 0:
                 continue
+            nu = ni + dp[i]
+            e = expo + nu * (lin[i] + diag[i] * nu)
+            if i == 0:
+                term = mp.exp(e)
+                total += term
+                scale = max(scale, abs(term))
+                continue
             point[i] = ni
-            rec(i - 1, rem_next)
-        point[i] = 0
+            rec(i - 1, rem_next, e, [lin[j] + cross[j][i] * nu for j in range(i)])
 
-    rec(g - 1, radius * radius)
-    return out
-
-
-def theta_value(z: Sequence, tau, char: ThetaChar | None = None):
-    """Return (theta[char](z, tau), scale) with scale = max term magnitude."""
-    g = tau.rows
-    if char is None:
-        char = ThetaChar.zero(g)
-    if char.genus != g:
-        raise ValueError("characteristic size does not match tau")
-    zv = [mp.mpc(v) for v in z]
-    dp, dq = char.entries_mp()
-
-    Y, L = imag_cholesky(tau)
-    R = L.T
-    yv = mp.matrix(g, 1)
-    for i in range(g):
-        yv[i, 0] = (zv[i] + dq[i]).imag
-    Yinv_y = mp.lu_solve(Y, yv)
-    center = [dp[i] + Yinv_y[i, 0] for i in range(g)]
-
-    radius = mp.sqrt((mp.mp.dps + 6) * mp.log(10) / mp.pi) + mp.mpf(2)
-    points = _ellipsoid_points(R, center, radius)
-
-    total = mp.mpc(0)
-    scale = mp.mpf(0)
-    pi_i = mp.pi * 1j
-    for n in points:
-        nu = [n[i] + dp[i] for i in range(g)]
-        quad = mp.mpc(0)
-        for i in range(g):
-            for j in range(g):
-                quad += nu[i] * tau[i, j] * nu[j]
-        lin = mp.mpc(0)
-        for i in range(g):
-            lin += nu[i] * (zv[i] + dq[i])
-        term = mp.exp(pi_i * quad + 2 * pi_i * lin)
-        total += term
-        mag = abs(term)
-        if mag > scale:
-            scale = mag
+    rec(g - 1, radius * radius, mp.mpc(0), [2 * pi_i * v for v in zq])
     return total, scale
 
 

@@ -1,8 +1,9 @@
-"""Theta with characteristics: classical genus-1 oracle, shifts, parity."""
+"""Theta with characteristics: box-sum reference at g = 2, 3, genus-1 oracle, shifts, parity."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,52 @@ def tau_g2():
         [mp.mpc("0.25", "1.1"), mp.mpc("0.15", "0.3")],
         [mp.mpc("0.15", "0.3"), mp.mpc("-0.4", "0.9")],
     ])
+
+
+def tau_g3():
+    # symmetric, and Im tau is diagonally dominant, so positive definite
+    re = [["0.2", "0.1", "-0.05"], ["0.1", "-0.3", "0.15"], ["-0.05", "0.15", "0.4"]]
+    im = [["1.0", "0.2", "0.1"], ["0.2", "0.95", "0.25"], ["0.1", "0.25", "1.05"]]
+    return mp.matrix([[mp.mpc(re[i][j], im[i][j]) for j in range(3)] for i in range(3)])
+
+
+def box_theta(z, tau, char, N):
+    """(theta, max term magnitude, max term magnitude on the box surface) by
+    the defining series over the box |n_i| <= N."""
+    g = tau.rows
+    dp, dq = char.entries_mp()
+    total, scale, surface = mp.mpc(0), mp.mpf(0), mp.mpf(0)
+    for n in product(range(-N, N + 1), repeat=g):
+        nu = [n[i] + dp[i] for i in range(g)]
+        quad = sum(nu[i] * tau[i, j] * nu[j] for i in range(g) for j in range(g))
+        lin = sum(nu[i] * (z[i] + dq[i]) for i in range(g))
+        term = mp.exp(mp.pi * 1j * quad + 2 * mp.pi * 1j * lin)
+        total += term
+        scale = max(scale, abs(term))
+        if max(map(abs, n)) == N:
+            surface = max(surface, abs(term))
+    return total, scale, surface
+
+
+@pytest.mark.parametrize("tau_fn,char,z,N", [
+    (tau_g2, ThetaChar(top=(H, Z), bottom=(Fraction(1, 3), H)),
+     [("0.21", "-0.17"), ("-0.34", "0.26")], 6),
+    (tau_g3, ThetaChar(top=(H, Fraction(1, 4), Z), bottom=(Z, H, Fraction(2, 3))),
+     [("0.13", "0.22"), ("-0.41", "-0.08"), ("0.3", "0.15")], 6),
+], ids=["g2", "g3"])
+def test_theta_matches_the_series_over_a_box(tau_fn, char, z, N):
+    # an absolute reference, the defining series itself: N is large enough
+    # that the terms on the box surface are below 10^-(dps+5) of the scale,
+    # and the Gaussian terms outside the box fall off faster still
+    dps = 30
+    with mp.workdps(dps):
+        tau = tau_fn()
+        zv = [mp.mpc(*v) for v in z]
+        want, want_scale, surface = box_theta(zv, tau, char, N)
+        assert surface < mp.mpf(10) ** -(dps + 5) * want_scale
+        got, scale = theta_value(zv, tau, char)
+        assert abs(got - want) < mp.mpf(10) ** (3 - dps) * want_scale
+        assert abs(scale - want_scale) < mp.mpf(10) ** (3 - dps) * want_scale
 
 
 def test_genus_one_jtheta_oracle():
