@@ -355,7 +355,9 @@ def _assert_matches_golden(got, want, tols, path="report"):
     ("fs_1_2_third_p40.json", 40, ["fs", "1", "2", "0", "1/3", "--", "-1"]),
     ("fs_1_2_confluent_p40.json", 40, ["fs", "--points", "1.25,0;1.25,0", *CURVE12]),
     ("fs_1_2_decimal_p30.json", 30, ["fs", "1", "2", "0.5", "1", "--", "-1"]),
-], ids=["verify", "fs", "fs-non-dyadic", "fs-confluent", "fs-decimal"])
+    ("rc_1_2_p20.json", 20, ["rc", *CURVE12]),
+    ("rc_1_3_p20.json", 20, ["rc", "1", "3", "0", "1", "-1", "2"]),
+], ids=["verify", "fs", "fs-non-dyadic", "fs-confluent", "fs-decimal", "rc", "rc-genus-3"])
 def test_report_matches_golden_output(capsys, golden, precision, argv):
     code, out, err = run(capsys, "--precision", str(precision), *argv)
     assert code == EXIT_OK, err

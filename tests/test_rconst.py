@@ -9,7 +9,7 @@ from mpmath import mp
 
 from trigjac import PeriodEngine, RunConfig, TrigonalCurve, cli, periods, rconst, roots_of_poly
 from trigjac.cli import EXIT_PRECISION, EXIT_VERIFICATION, main
-from trigjac.divisor import canonical_divisor
+from trigjac.divisor import canonical_divisor, points_divisor
 from trigjac.errors import NoCandidate, PrecisionLoss
 from trigjac.rconst import (
     automorphism_offset,
@@ -84,14 +84,14 @@ def test_characteristic_roundtrip(engine12, config40):
 def test_verify_shifted_report(engine12):
     report = verify_shifted(engine12)
     assert report["ok"], report
-    assert report["vanishing_ok"] and report["offdiv_ok"]
+    assert report["offdiv_ok"]
     assert report["parity_ok"] and report["symmetric_divisor_ok"]
     assert report["torsion3_ok"]
 
 
 def test_verify_shifted_reuses_the_battery_draws(engine12, monkeypatch):
     # every divisor comes from the riemann_constant battery: no draw, no Abel
-    # point, one theta per battery draw plus off-divisor, parity and symmetry
+    # point, and theta only for the off-divisor, parity and symmetry probes
     rc = riemann_constant(engine12)
     abel_calls, theta_calls = [], []
     real_abel, real_theta = PeriodEngine.abel_point, rconst.theta_value
@@ -113,19 +113,19 @@ def test_verify_shifted_reuses_the_battery_draws(engine12, monkeypatch):
     report = verify_shifted(engine12)
     assert report["ok"], report
     assert abel_calls == []
-    assert len(theta_calls) == rconst.BATTERY_SIZE + 3
-    assert report["plain_shift_worst_rel"] == max(rel for _z, rel in rc.battery)
+    assert len(theta_calls) == 3
+    assert report["vanishing_worst_rel"] == max(rel for _z, rel in rc.battery)
+    assert report["plain_shift_worst_rel"] == report["vanishing_worst_rel"]
 
 
 @pytest.mark.parametrize("call, probe", [
-    (0, "characteristic battery"),
-    (rconst.BATTERY_SIZE - 1, "characteristic battery"),
-    (rconst.BATTERY_SIZE, "off-divisor control"),
-    (rconst.BATTERY_SIZE + 1, "central symmetry"),
-], ids=["first-draw", "last-draw", "off-divisor", "symmetry"])
+    (0, "off-divisor control"),
+    (1, "central symmetry"),
+], ids=["off-divisor", "symmetry"])
 def test_grey_band_in_verify_shifted_is_a_precision_loss(engine12, monkeypatch, call, probe):
     # the battery itself decides with the real verdicts; only the given call
-    # inside verify_shifted lands in the grey band
+    # inside verify_shifted lands in the grey band (a grey-band battery draw
+    # is discarded: test_undecided_battery_is_a_precision_loss)
     riemann_constant(engine12)
     real = rconst.classify_vanishing
     calls = []
@@ -260,6 +260,50 @@ def test_wrong_prediction_is_no_candidate(monkeypatch, capsys):
     assert predicted in str(exc.value)
     assert main(["--precision", "20", "rc", "1", "2", "0", "1", "--", "-1"]) == EXIT_VERIFICATION
     assert predicted in capsys.readouterr().err
+
+
+def test_battery_tests_the_shifted_characteristic(monkeypatch):
+    # every theta value of the battery is theta[char](abel(D) + abel(B-sum)),
+    # the paper's statement, at the battery's own draws D
+    engine = _engine(1, 2, [F(0), F(1), F(-1)], 20)
+    draws, theta_calls = [], []
+    real_draw, real_theta = rconst.random_effective_points, rconst.theta_value
+
+    def draw(*args):
+        draws.append(real_draw(*args))
+        return draws[-1]
+
+    def theta(*args):
+        theta_calls.append(args)
+        return real_theta(*args)
+
+    monkeypatch.setattr(rconst, "random_effective_points", draw)
+    monkeypatch.setattr(rconst, "theta_value", theta)
+    sc = shifted_constant(engine)
+    assert len(theta_calls) == len(draws) >= rconst.BATTERY_SIZE
+    assert [args[2:] for args in theta_calls] == [(sc.char,)] * len(draws)
+    with mp.workdps(engine.config.working_dps):
+        for pts, (z, *_rest) in zip(draws, theta_calls):
+            zD = engine.abel_divisor(points_divisor(engine.curve, pts))
+            gap = max(abs(a - b - c) for a, b, c in zip(z, zD, sc.branch_abel))
+            assert gap < engine.config.lattice_tol
+
+
+def test_wrong_characteristic_is_no_candidate(monkeypatch):
+    # the battery tests the extracted characteristic, not only the offset:
+    # with one bit of it flipped the draws stop vanishing
+    real = rconst.characteristic_of
+    flipped = []
+
+    def wrong(engine, v):
+        char, residual = real(engine, v)
+        flipped.append(ThetaChar((F(1, 2) - char.top[0], *char.top[1:]), char.bottom))
+        return flipped[-1], residual
+
+    monkeypatch.setattr(rconst, "characteristic_of", wrong)
+    with pytest.raises(NoCandidate, match="fails Riemann vanishing") as exc:
+        riemann_constant(_engine(1, 2, [F(0), F(1), F(-1)], 20))
+    assert str(flipped[0].to_json()) in str(exc.value)
 
 
 @pytest.mark.parametrize("corrupt, message", [
