@@ -140,16 +140,16 @@ def _emit_text(data, indent: int = 0) -> None:
 def _parse_number(tok: str, what: str, exact: bool = False):
     """One numeric token: a Fraction, or an mpc for a decimal or complex token.
 
-    A token without any of the characters ".jJeE()" is a rational such as
-    -3/2; any other is read by complex(), with i or j as the imaginary unit.
+    A token without any of the characters ".iIjJeE()" is a rational such as
+    -3/2; any other is read by complex(), with i, I, j or J for sqrt(-1).
     With exact=True every token is read as a rational (1.5 is 3/2).  A
     malformed or non-finite token raises ValidationError.
     """
     t = tok.strip()
     try:
-        if exact or not any(c in t for c in ".jJeE()"):
+        if exact or not any(c in t for c in ".iIjJeE()"):
             return Fraction(t)
-        z = mp.mpc(complex(t.replace("i", "j")))
+        z = mp.mpc(complex(t.replace("i", "j").replace("I", "j")))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse {what} {tok!r}") from exc
     if not mp.isfinite(z):

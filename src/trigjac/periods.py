@@ -5,16 +5,18 @@ restored analytically: w, a cube root of A*B^2 = prod (x-b)^m_b, is continued
 from the start x1 of a chord to any point x on it as
 w(x1) * exp(1/3 sum_b m_b Log((x-b)/(x1-b))).  Each factor runs along a
 segment from 1 that never meets the cut (-inf, 0] while the chord misses b, so
-the principal logs give the exact continuation without subdivision.  Plain
-chords run it in complex doubles only to name the cube root of unity taking the
-principal cube root of A*B^2, one mp log, to w, and in mp where doubles cannot.
+the principal logs give the exact continuation without subdivision.
 
 The Abel map of a smooth point integrates the one straight chord from the
 base point x0 to it.  Such a plain chord is analytic.  It is bisected into
 pieces no longer than the distance from their centre to the nearest root, and
 every piece is integrated with the Gauss-Legendre rule of its own Bernstein
 ellipse; a chord that grazes a root only needs more pieces, and one through a
-root raises PathCrossesBranchPoint.
+root raises PathCrossesBranchPoint.  On a piece from a, the exact end of the
+one before, of half-length h, a node gives x - b = (a - b) + h(1 + s) to full
+digits however close b lies.  w is the principal cube root of A*B^2 times the
+cube root of unity nearest Im log w, carried in doubles as sum_b m_b
+Log(1 + u_b s)/3 about each centre c, with u_b = h/(c - b) and |u_b| <= 1/2.
 Tanh-sinh quadrature serves only the chords with endpoint singularities: the
 branch chords and the tail to infinity.  On a chord ending at a branch point b
 the vanishing factor (x-b)^m is split off and handled in closed form, so
@@ -55,7 +57,6 @@ from .homology import (
     candidate_words,
     choose_base_geometry,
     intersection_matrix,
-    seg_point_dist,
     symplectic_basis,
 )
 from .polyutil import root_product
@@ -120,43 +121,27 @@ def _cuberoot_along(roots, mults, x1, w1):
     return w_at
 
 
-def _cuberoot_guide(roots, mults, x1, w1):
-    """The formula of _cuberoot_along in complex doubles, for complex x."""
-    factors = [(complex(b), m, 1 / (complex(x1) - complex(b))) for b, m in zip(roots, mults)]
-    w1 = complex(w1)
-    return lambda x: w1 * cmath.exp(sum(m * cmath.log((x - b) * inv) for b, m, inv in factors) / 3)
+def _arg_sweep(mults, us, s) -> float:
+    """sum_b m_b arg(1 + u_b s)/3 in doubles: how far Im log w moves from a
+    piece's centre c to its node s, with u_b = h/(c - b)."""
+    return sum(m * cmath.phase(1 + u * s) for m, u in zip(mults, us)) / 3
 
 
-# Doubles resolve x - b only to about 1e-16 (|x| + |b|): a chord passing a root
-# closer than 1e-9 of that could cross a log cut on the wrong side in them.
-_GRAZE = mp.mpf("1e-9")
+def _node_values(factors, mults, arg, zetas):
+    """(A B, w) at the point whose factors x - b are given.
 
-
-def _chord_values(roots, mults, x1, w1, x2):
-    """x -> (A B, w) on [x1, x2]: w is the principal cube root of A B^2 times
-    the cube root of unity nearest _cuberoot_guide, or _cuberoot_along's value
-    where the doubles overflow or name none decisively, or the chord grazes a root.
+    w is the principal cube root of A B^2 = prod (x - b)^m, one mp log, times
+    the cube root of unity whose argument lies nearest arg modulo 2 pi; a pick
+    that decisive_sheet leaves undecided raises PrecisionLoss.
     """
-    slow = _cuberoot_along(roots, mults, x1, w1)
-    scale = abs(x1) + abs(x2) + max(abs(b) for b in roots)
-    if min(seg_point_dist(x1, x2, b) for b in roots) <= _GRAZE * scale:
-        return lambda x: (root_product(roots, x), slow(x))
-    guide = _cuberoot_guide(roots, mults, x1, w1)
-    zetas = [zeta(k) for k in range(3)]
-    b_roots = [b for b, m in zip(roots, mults) if m == 2]
-
-    def values(x):
-        ab = root_product(roots, x)
-        w = mp.exp(mp.log(ab * root_product(b_roots, x)) / 3)
-        try:
-            near, w_d = guide(complex(x)), complex(w)
-            dists = [abs(near - complex(z) * w_d) for z in zetas]
-        except (OverflowError, ValueError):
-            dists = [math.nan]
-        k = decisive_sheet(dists) if all(map(math.isfinite, dists)) else None
-        return ab, slow(x) if k is None else zetas[k] * w
-
-    return values
+    ab = mp.fprod(factors)
+    log_w = mp.log(ab * mp.fprod(f for f, m in zip(factors, mults) if m == 2)) / 3
+    base = float(log_w.imag) - arg
+    dists = [abs(math.remainder(base + 2 * math.pi * k / 3, 2 * math.pi)) for k in range(3)]
+    k = decisive_sheet(dists)
+    if k is None:
+        raise PrecisionLoss(f"no cube root of unity continues w: angle offsets {dists}")
+    return ab, zetas[k] * mp.exp(log_w)
 
 
 def _form_values(forms, x, w, ab, dx) -> list:
@@ -196,12 +181,12 @@ def _piece_rule(roots, c, h) -> list:
 
 
 def _split_chord(roots, x1, x2) -> list[tuple]:
-    """Pieces (centre, half-length) of [x1, x2] in order from x1.
+    """Pieces (start, half-length) of [x1, x2] in order from x1.
 
     Bisects until each piece is no longer than the distance from its centre
-    to the nearest root.  A root on the chord defeats every bisection next to
-    it, so the depth is capped at the binary precision, where midpoints stop
-    being distinct.
+    to the nearest root; each starts at the exact end of the one before.  A
+    root on the chord defeats every bisection next to it, so the depth is
+    capped at the binary precision, where midpoints stop being distinct.
     """
     pieces = []
     stack = [(x1, x2, 0)] if x1 != x2 else []
@@ -209,7 +194,7 @@ def _split_chord(roots, x1, x2) -> list[tuple]:
         a, b, depth = stack.pop()
         c = (a + b) / 2
         if abs(b - a) <= min(abs(c - r) for r in roots):
-            pieces.append((c, (b - a) / 2))
+            pieces.append((a, (b - a) / 2))
             continue
         if depth >= mp.mp.prec:
             raise PathCrossesBranchPoint("chord passes through a branch root")
@@ -348,20 +333,28 @@ class PeriodEngine:
         """Integrals along a chord avoiding branch roots; returns (vals, w at x2).
 
         The chord is split into root-clear pieces, each integrated with the
-        Gauss-Legendre rule of its own Bernstein ellipse; w is continued from
-        x1 to every node directly.
+        Gauss-Legendre rule of its own Bernstein ellipse in piece-local
+        factors; arg carries Im log w from piece to piece.
         """
-        roots = self._roots
-        pieces = _split_chord(roots, x1, x2)
-        values = _chord_values(roots, self._mults, x1, w1, x2)
-        totals = [mp.mpc(0)] * len(self.forms)
-        for c, h in pieces:
+        roots, mults, forms = self._roots, self._mults, self.forms
+        zetas = [zeta(k) for k in range(3)]
+        totals = [mp.mpc(0)] * len(forms)
+        arg = float(mp.arg(w1))
+        for a, h in _split_chord(roots, x1, x2):
+            c = a + h
+            us = [complex(h / (c - b)) for b in roots]
+            starts = [a - b for b in roots]
+            arg -= _arg_sweep(mults, us, -1)  # from the piece's start to c
             for s, wt in _piece_rule(roots, c, h):
-                x = c + h * s
-                ab, w = values(x)
-                vals = _form_values(self.forms, x, w, ab, h * wt)
-                totals = [t + v for t, v in zip(totals, vals)]
-        return totals, values(x2)[1]
+                t = h * (1 + s)
+                ab, w = _node_values([f + t for f in starts], mults,
+                                     arg + _arg_sweep(mults, us, float(s)), zetas)
+                vals = _form_values(forms, a + t, w, ab, h * wt)
+                totals = [v0 + v for v0, v in zip(totals, vals)]
+            arg += _arg_sweep(mults, us, 1)  # from c to the piece's end
+        if x1 == x2:
+            return totals, w1
+        return totals, _node_values([x2 - b for b in roots], mults, arg, zetas)[1]
 
     # -- main computation -------------------------------------------------
 

@@ -89,6 +89,15 @@ def test_curve_unparsable_branch_token(capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize("token", ["2+1i", "2+1I"])
+def test_curve_complex_branch_token_forces_the_numeric_layer(capsys, token):
+    code, out, err = run(capsys, "curve", "1", "2", "--", "0", "1", token)
+    assert code == EXIT_OK, err
+    data = json.loads(out)
+    assert data["exact"] is False
+    assert data["branch_points"][2]["x"] == "(2.0 + 1.0j)"
+
+
 def test_curve_roots_of_polynomial(capsys):
     code, out, _ = run(capsys, "curve", "0", "4", "--roots-of", "1,0,0,0,1")
     assert code == EXIT_OK

@@ -4,6 +4,7 @@ plain-chord quadrature against a tanh-sinh reference, and the period cache."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -12,8 +13,8 @@ import pytest
 from mpmath import mp
 
 from trigjac import periods
-from trigjac.cli import EXIT_OK, main
-from trigjac.curve import TrigonalCurve, roots_of_poly
+from trigjac.cli import EXIT_OK, EXIT_PRECISION, main
+from trigjac.curve import TrigonalCurve, roots_of_poly, zeta
 from trigjac.divisor import frak_B, place_P, points_divisor, principal_divisor
 from trigjac.errors import PathCrossesBranchPoint, PrecisionLoss
 from trigjac.homology import seg_point_dist
@@ -284,9 +285,9 @@ def test_plain_chord_near_root_matches_tanh_sinh(engine12, config40, escalate):
         w1 = engine._w0_at(x1)
         got, w2 = engine._plain_segment(x1, w1, x2)
         # every piece's rule meets the bound of its own Bernstein ellipse
-        for c, h in _split_chord(engine._roots, x1, x2):
-            n = len(_piece_rule(engine._roots, c, h))
-            assert (bernstein_rho(engine._roots, c, h) / mp.mpf("1.25")) ** (-2 * n) \
+        for a, h in _split_chord(engine._roots, x1, x2):
+            n = len(_piece_rule(engine._roots, a + h, h))
+            assert (bernstein_rho(engine._roots, a + h, h) / mp.mpf("1.25")) ** (-2 * n) \
                 <= mp.mpf(10) ** (-cfg.working_dps)
         # the continued w is a cube root of A B^2 at x2
         assert abs(w2**3 - engine._w0_at(x2) ** 3) < tol
@@ -303,26 +304,51 @@ def quartic_engine(precision):
         return PeriodEngine(TrigonalCurve(0, 4, roots_of_poly([1, 0, 0, 0, 1])), cfg)
 
 
+def grazing_chord(engine, theta, delta):
+    """The chord along e^(i theta) that passes delta from the root e^(i pi/4),
+    with the root on its right for delta > 0: (x1, x2, the closest point)."""
+    root = min(engine._roots, key=lambda r: abs(r - mp.expjpi(mp.mpf(1) / 4)))
+    d = mp.expj(theta)
+    p = root + 1j * delta * d
+    return p - mp.mpf("0.8") * d, p + mp.mpf("0.7") * d, p
+
+
 @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
 def test_plain_chord_grazing_a_complex_root_matches_tanh_sinh(side):
     # the chord passes 1e-20 from the root e^(i pi/4), far closer than a
-    # complex double resolves; below the root, a cube root of unity picked
-    # from doubles would put w on the wrong sheet past it
+    # complex double resolves; x - root is formed from the piece's exact start,
+    # so the integrals keep every digit where the chord passes the root
     engine = quartic_engine(40)
     with mp.workdps(engine.config.working_dps):
-        roots = engine._roots
-        root = min(roots, key=lambda r: abs(r - mp.expjpi(mp.mpf(1) / 4)))
-        p = root + side * 1j * mp.mpf("1e-20")
-        x1, x2 = p - mp.mpf("0.8"), p + mp.mpf("0.7")
+        x1, x2, p = grazing_chord(engine, 0, side * mp.mpf("1e-20"))
         w1 = engine._w0_at(x1)
         got, w2 = engine._plain_segment(x1, w1, x2)
-        want_w2 = _cuberoot_along(roots, engine._mults, x1, w1)(x2)
-        assert abs(w2 - want_w2) < mp.mpf(10) ** (-(mp.dps - 5)) * abs(want_w2)
-        # the root is rounded to dps digits, so x - root keeps about dps - 20
-        # of them where the chord passes it; a wrong sheet errs in digit 5
-        tol = mp.mpf(10) ** (-(mp.dps - 25))
-    with mp.workdps(engine.config.working_dps + 10):
+        want_w2 = _cuberoot_along(engine._roots, engine._mults, x1, w1)(x2)
+        tol = mp.mpf(10) ** (-(mp.dps - 5))
+        assert abs(w2 - want_w2) < tol * abs(want_w2)
+    # the reference forms x - root from the rounded node, so it needs 20
+    # digits more than the bound to keep it
+    with mp.workdps(engine.config.working_dps + 30):
         want = tanh_sinh_chord(engine, x1, w1, x2, p, tol)
+    for a, b in zip(got, want):
+        assert abs(a - b) < tol * max(1, abs(b)), (mp.nstr(a, 20), mp.nstr(b, 20))
+
+
+@pytest.mark.parametrize("delta", ["1e-20", "1e-45"])
+@pytest.mark.parametrize("theta", ["0", "0.3", "1.1"])
+def test_plain_chord_grazing_a_complex_root_keeps_full_digits(theta, delta):
+    # the reference integrates the same rounded roots and endpoints 60 digits
+    # higher, where the chord's closest approach costs no visible digit
+    engine = quartic_engine(40)
+    with mp.workdps(engine.config.working_dps):
+        x1, x2, _ = grazing_chord(engine, mp.mpf(theta), mp.mpf(delta))
+        w1 = engine._w0_at(x1)
+        got, w2 = engine._plain_segment(x1, w1, x2)
+        want_w2 = _cuberoot_along(engine._roots, engine._mults, x1, w1)(x2)
+        tol = mp.mpf(10) ** (-(mp.dps - 5))
+        assert abs(w2 - want_w2) < tol * abs(want_w2)
+    with mp.workdps(engine.config.working_dps + 60):
+        want, _ = engine._plain_segment(x1, w1, x2)
     for a, b in zip(got, want):
         assert abs(a - b) < tol * max(1, abs(b)), (mp.nstr(a, 20), mp.nstr(b, 20))
 
@@ -340,48 +366,50 @@ def _agreement_engine(name, precision):
         return PeriodEngine(TrigonalCurve(*branch), cfg)
 
 
-def _refuse(x):
-    raise AssertionError("a point fell back to one log per root")
-
-
 @pytest.mark.parametrize("precision", [20, 40], ids=["p20", "p40"])
 @pytest.mark.parametrize("name", ["(1,2)", "(1,3)", "quartic", "decimal"])
 def test_one_log_continuation_matches_per_root_logs(monkeypatch, name, precision):
     engine = _agreement_engine(name, precision)
+    nodes = []
+
+    def recorded(forms, x, w, ab, dx):
+        nodes.append((x, w, ab))
+        return _form_values(forms, x, w, ab, dx)
+
+    monkeypatch.setattr(periods, "_form_values", recorded)
     with mp.workdps(engine.config.working_dps):
         roots, mults = engine._roots, engine._mults
         pts = random_effective_points(engine.curve, 8, random.Random(22))
-        chords = [(a.x, a.w, b.x) for a, b in zip(pts[::2], pts[1::2])]
-        slows = [_cuberoot_along(roots, mults, x1, w1) for x1, w1, _ in chords]
-        # on these chords no point may fall back to _cuberoot_along
-        monkeypatch.setattr(periods, "_cuberoot_along", lambda *args: _refuse)
         tol = mp.mpf(10) ** (-(mp.dps - 3))
-        for (x1, w1, x2), slow in zip(chords, slows):
-            values = periods._chord_values(roots, mults, x1, w1, x2)
-            for t in range(1, 9):
-                x = x1 + (x2 - x1) * t / 8
-                ab, w = values(x)
-                assert ab == root_product(roots, x)
+        for a, b in zip(pts[::2], pts[1::2]):
+            nodes.clear()
+            _, w2 = engine._plain_segment(a.x, a.w, b.x)
+            slow = _cuberoot_along(roots, mults, a.x, a.w)
+            assert nodes and abs(w2 - slow(b.x)) <= tol * abs(w2)
+            for x, w, ab in nodes:
+                assert abs(ab - root_product(roots, x)) <= tol * abs(ab)
                 assert abs(w - slow(x)) <= tol * abs(w)
 
 
-@pytest.mark.parametrize("guide", [complex("nan"), complex("inf")], ids=["nan", "inf"])
-def test_undecided_guide_falls_back_to_per_root_logs_bit_for_bit(monkeypatch, engine12,
-                                                                 config40, guide):
+def test_undecided_sheet_raises_precision_loss(engine12, config40):
     with mp.workdps(config40.working_dps):
-        x1, x2, _ = near_root_chord(engine12)
-        w1 = engine12._w0_at(x1)
-        roots, forms = engine12._roots, engine12.forms
-        slow = _cuberoot_along(roots, engine12._mults, x1, w1)
-        want = [mp.mpc(0)] * len(forms)
-        for c, h in _split_chord(roots, x1, x2):
-            for s, wt in _piece_rule(roots, c, h):
-                x = c + h * s
-                vals = _form_values(forms, x, slow(x), root_product(roots, x), h * wt)
-                want = [t + v for t, v in zip(want, vals)]
-        monkeypatch.setattr(periods, "_cuberoot_guide", lambda *args: lambda x: guide)
-        got, w2 = engine12._plain_segment(x1, w1, x2)
-        assert got == want and w2 == slow(x2)
+        roots, mults, x = engine12._roots, engine12._mults, mp.mpc("0.3", "0.2")
+        factors = [x - b for b in roots]
+        zetas = [zeta(k) for k in range(3)]
+        w = mp.exp(mp.log(root_product(roots, x, mults)) / 3)
+        # an argument on a sheet names that sheet; one halfway between two
+        # sheets names neither
+        for z in zetas:
+            _, got = periods._node_values(factors, mults, float(mp.arg(z * w)), zetas)
+            assert abs(got - z * w) < mp.eps * 8 * abs(w)
+        with pytest.raises(PrecisionLoss, match="no cube root of unity"):
+            periods._node_values(factors, mults, float(mp.arg(w)) + math.pi / 3, zetas)
+
+
+def test_verify_exits_4_on_an_undecided_plain_chord_sheet(monkeypatch, capsys):
+    monkeypatch.setattr(periods, "decisive_sheet", lambda values: None)
+    assert main(["--precision", "20", "verify", *CURVE12]) == EXIT_PRECISION
+    assert "no cube root of unity" in capsys.readouterr().err
 
 
 def test_chord_of_length_zero_integrates_to_zero(engine12, config40):
@@ -394,29 +422,36 @@ def test_chord_of_length_zero_integrates_to_zero(engine12, config40):
 
 def test_abel_point_node_budget(monkeypatch):
     # integrand evaluations of the plain chords over a fixed seeded set of
-    # Abel points on (1,3) at 40 digits: a cost count no machine changes
-    cfg = RunConfig(precision=40)
-    with mp.workdps(cfg.working_dps):
-        curve = TrigonalCurve(1, 3, [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)])
-    engine = PeriodEngine(curve, cfg)
-    engine.compute()
-    counts = {"nodes": 0, "pieces": 0}
+    # Abel points, on (1,3) at 40 digits and on (1,2) at 20: a cost count no
+    # machine changes
+    budgets = [
+        ((1, 3, [0, 1, -1, 2]), 40, {"nodes": 1888, "pieces": 43}),
+        ((1, 2, [0, 1, -1]), 20, {"nodes": 1136, "pieces": 42}),
+    ]
+    for (r, s, branch), precision, budget in budgets:
+        cfg = RunConfig(precision=precision)
+        with mp.workdps(cfg.working_dps):
+            curve = TrigonalCurve(r, s, [Fraction(b) for b in branch])
+        engine = PeriodEngine(curve, cfg)
+        engine.compute()
+        counts = {"nodes": 0, "pieces": 0}
 
-    def counted(fn, key, size):
-        def wrapped(*args):
-            out = fn(*args)
-            counts[key] += size(out)
-            return out
-        return wrapped
+        def counted(fn, key, size):
+            def wrapped(*args):
+                out = fn(*args)
+                counts[key] += size(out)
+                return out
+            return wrapped
 
-    monkeypatch.setattr(periods, "_form_values", counted(_form_values, "nodes", lambda _: 1))
-    monkeypatch.setattr(periods, "_split_chord", counted(_split_chord, "pieces", len))
-    with mp.workdps(cfg.working_dps):
-        for pt in random_effective_points(curve, 8, random.Random(22)):
-            engine.abel_point(pt)
-    # a fixed 48-node rule would take 48 * 43 = 2064
-    assert counts == {"nodes": 1888, "pieces": 43}
-    assert counts["nodes"] < 48 * counts["pieces"]
+        monkeypatch.setattr(periods, "_form_values", counted(_form_values, "nodes", lambda _: 1))
+        monkeypatch.setattr(periods, "_split_chord", counted(_split_chord, "pieces", len))
+        with mp.workdps(cfg.working_dps):
+            for pt in random_effective_points(curve, 8, random.Random(22)):
+                engine.abel_point(pt)
+        monkeypatch.undo()
+        assert counts == budget
+        # a fixed 48-node rule would take 48 * 43 = 2064 on (1,3)
+        assert counts["nodes"] < 48 * counts["pieces"]
 
 
 class CountingRoots(list):
