@@ -11,7 +11,10 @@ parameter p so that escalating p tightens every check consistently:
 * theta non-vanishing requires |theta| > 10^-(p/4) * scale,
 
 with the band between the last two a rejection band in which nothing is
-decided.  Only PeriodEngine.compute escalates the precision, once, for tau.
+decided.  The Riemann-constant battery and the central-symmetry probe sum
+theta to p//2 + 6 digits, not to the working precision, and decide on the end
+of |theta| -+ 10^-(p//2+6) * scale nearer that band.  Only
+PeriodEngine.compute escalates the precision, once, for tau.
 """
 
 from __future__ import annotations

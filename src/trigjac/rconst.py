@@ -19,7 +19,8 @@ value is Riemann vanishing theta(abel(D) + kappa) times a nonzero factor, so
 the battery tests the offset and the characteristic at once, and
 verify_shifted reads it instead of drawing again.  A grey-band value discards
 the draw; a non-vanishing one raises NoCandidate, and running out of draws
-raises PrecisionLoss.
+raises PrecisionLoss.  The battery and the central-symmetry probe only decide
+vanishing, so they sum theta to the digits that verdict needs (_verdict_sum).
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ def riemann_constant(engine: PeriodEngine) -> RiemannConstant:
             pts = random_effective_points(curve, g - 1, rng)
             zD = engine.abel_divisor(points_divisor(curve, pts))
             z = [zD[l] + aB[l] for l in range(g)]
-            val, scale = theta_value(z, data.tau, char)
-            verdict = classify_vanishing(abs(val), scale, config)
+            val, scale, against = _verdict_sum(z, data.tau, char, config)
+            verdict = classify_vanishing(against, scale, config)
             if verdict is False:
                 raise NoCandidate(
                     f"predicted offset {ch.to_json()} with characteristic"
@@ -270,6 +271,21 @@ def match_published(engine: PeriodEngine) -> dict:
         "ok": bool(witness is not None and got.parity() == expected.parity()),
     }
 
+
+def _verdict_sum(z, tau, char: ThetaChar, config) -> tuple:
+    """(theta, scale, |theta| for the verdict), theta summed to p//2 + 6 digits.
+
+    The terms left out total at most bound = 10^-(p//2+6) * scale; the third
+    entry is the end of |theta| -+ bound nearer the grey band, so a verdict on
+    it holds for every value the bound allows.
+    """
+    digits = config.precision // 2 + 6
+    val, scale = theta_value(z, tau, char, digits=digits)
+    bound = mp.mpf(10) ** -digits * scale
+    hi = abs(val) + bound
+    return val, scale, hi if hi < config.nonvanish_floor * scale else abs(val) - bound
+
+
 def _decide(value_abs, scale, config, probe: str) -> bool:
     verdict = classify_vanishing(value_abs, scale, config)
     if verdict is None:
@@ -317,9 +333,10 @@ def verify_shifted(engine: PeriodEngine) -> dict:
 
         # theta divisor of the shifted function is centrally symmetric:
         # abel(D + B-sum) lies on it, so its negative must as well
-        vneg2, sneg2 = theta_value([-v for v in rc.battery[0][0]], data.tau, sc.char)
+        zneg = [-v for v in rc.battery[0][0]]
+        vneg2, sneg2, against = _verdict_sum(zneg, data.tau, sc.char, config)
         report["symmetric_divisor_rel"] = abs(vneg2) / sneg2
-        report["symmetric_divisor_ok"] = _decide(abs(vneg2), sneg2, config, "central symmetry")
+        report["symmetric_divisor_ok"] = _decide(against, sneg2, config, "central symmetry")
 
         # the class of (B-sum) - r*P is killed by 3; it is nontrivial exactly
         # when the branch sum is nonempty

@@ -103,9 +103,9 @@ def test_verify_shifted_reuses_the_battery_draws(engine12, monkeypatch):
         abel_calls.append(pt)
         return real_abel(self, pt)
 
-    def theta(*args):
-        theta_calls.append(args)
-        return real_theta(*args)
+    def theta(*args, **kwargs):
+        theta_calls.append(kwargs)
+        return real_theta(*args, **kwargs)
 
     monkeypatch.setattr(rconst, "random_effective_points", no_draw)
     monkeypatch.setattr(PeriodEngine, "abel_point", abel_point)
@@ -113,7 +113,8 @@ def test_verify_shifted_reuses_the_battery_draws(engine12, monkeypatch):
     report = verify_shifted(engine12)
     assert report["ok"], report
     assert abel_calls == []
-    assert len(theta_calls) == 3
+    # off-divisor and parity at full digits, central symmetry at verdict digits
+    assert theta_calls == [{}, {}, {"digits": engine12.config.precision // 2 + 6}]
     assert report["vanishing_worst_rel"] == max(rel for _z, rel in rc.battery)
     assert report["plain_shift_worst_rel"] == report["vanishing_worst_rel"]
 
@@ -273,20 +274,38 @@ def test_battery_tests_the_shifted_characteristic(monkeypatch):
         draws.append(real_draw(*args))
         return draws[-1]
 
-    def theta(*args):
-        theta_calls.append(args)
-        return real_theta(*args)
+    def theta(*args, **kwargs):
+        theta_calls.append(args + (kwargs,))
+        return real_theta(*args, **kwargs)
 
     monkeypatch.setattr(rconst, "random_effective_points", draw)
     monkeypatch.setattr(rconst, "theta_value", theta)
     sc = shifted_constant(engine)
     assert len(theta_calls) == len(draws) >= rconst.BATTERY_SIZE
-    assert [args[2:] for args in theta_calls] == [(sc.char,)] * len(draws)
+    assert [args[2:] for args in theta_calls] == [(sc.char, {"digits": 16})] * len(draws)
     with mp.workdps(engine.config.working_dps):
         for pts, (z, *_rest) in zip(draws, theta_calls):
             zD = engine.abel_divisor(points_divisor(engine.curve, pts))
             gap = max(abs(a - b - c) for a, b, c in zip(z, zD, sc.branch_abel))
             assert gap < engine.config.lattice_tol
+
+
+@pytest.mark.parametrize("rel, want", [
+    ("0.9999995e-10", None),  # under vanish_tol, but by less than the bound 1e-16
+    ("0.999998e-10", True),
+    ("1.000000000005e-5", None),  # over nonvanish_floor, but by less than the bound
+    ("1.00000000002e-5", False),
+])
+def test_verdict_digits_count_the_truncation_bound(monkeypatch, rel, want):
+    # at p 20 the verdict sums stop at 16 digits: a verdict must hold for
+    # every value within 1e-16 * scale of the truncated sum
+    config = RunConfig(precision=20)
+    with mp.workdps(config.working_dps):
+        scale = mp.mpf(3)
+        monkeypatch.setattr(rconst, "theta_value",
+                            lambda *args, digits: (mp.mpf(rel) * scale, scale))
+        _val, _scale, against = rconst._verdict_sum(None, None, None, config)
+        assert rconst.classify_vanishing(against, scale, config) is want
 
 
 def test_wrong_characteristic_is_no_candidate(monkeypatch):

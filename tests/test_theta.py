@@ -1,7 +1,9 @@
-"""Theta with characteristics: box-sum reference at g = 2, 3, genus-1 oracle, shifts, parity."""
+"""Theta with characteristics: box-sum reference at g = 2, 3, 4, truncation
+bound, genus-1 oracle, shifts, parity."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +18,6 @@ from trigjac.theta import (
     ThetaChar,
     classify_vanishing,
     half_characteristics,
-    quasi_period_factor,
     theta_value,
 )
 
@@ -39,30 +40,53 @@ def tau_g3():
     return mp.matrix([[mp.mpc(re[i][j], im[i][j]) for j in range(3)] for i in range(3)])
 
 
+def tau_g4():
+    # symmetric, and Im tau is diagonally dominant, so positive definite
+    re = [["0.1", "-0.2", "0.05", "0.15"], ["-0.2", "0.3", "0.1", "-0.1"],
+          ["0.05", "0.1", "-0.25", "0.2"], ["0.15", "-0.1", "0.2", "0.35"]]
+    im = [["2.7", "0.1", "-0.05", "0.1"], ["0.1", "2.6", "0.15", "0.05"],
+          ["-0.05", "0.15", "2.8", "-0.1"], ["0.1", "0.05", "-0.1", "2.65"]]
+    return mp.matrix([[mp.mpc(re[i][j], im[i][j]) for j in range(4)] for i in range(4)])
+
+
+def tau_long_rows():
+    # Im tau_00 = 0.08: at 30 digits the innermost rows of the ellipsoid are
+    # about 2 * 5.2 / sqrt(0.08) = 37 points long, so the term ratios are
+    # carried over 18 steps each side of the vertex
+    return mp.matrix([
+        [mp.mpc("0.35", "0.08"), mp.mpc("-0.1", "0.05")],
+        [mp.mpc("-0.1", "0.05"), mp.mpc("0.2", "1.2")],
+    ])
+
+
 def box_theta(z, tau, char, N):
     """(theta, max term magnitude, max term magnitude on the box surface) by
-    the defining series over the box |n_i| <= N."""
+    the defining series over the box |n_i| <= N_i."""
     g = tau.rows
     dp, dq = char.entries_mp()
     total, scale, surface = mp.mpc(0), mp.mpf(0), mp.mpf(0)
-    for n in product(range(-N, N + 1), repeat=g):
+    for n in product(*(range(-k, k + 1) for k in N)):
         nu = [n[i] + dp[i] for i in range(g)]
         quad = sum(nu[i] * tau[i, j] * nu[j] for i in range(g) for j in range(g))
         lin = sum(nu[i] * (z[i] + dq[i]) for i in range(g))
         term = mp.exp(mp.pi * 1j * quad + 2 * mp.pi * 1j * lin)
         total += term
         scale = max(scale, abs(term))
-        if max(map(abs, n)) == N:
+        if any(abs(a) == k for a, k in zip(n, N)):
             surface = max(surface, abs(term))
     return total, scale, surface
 
 
 @pytest.mark.parametrize("tau_fn,char,z,N", [
     (tau_g2, ThetaChar(top=(H, Z), bottom=(Fraction(1, 3), H)),
-     [("0.21", "-0.17"), ("-0.34", "0.26")], 6),
+     [("0.21", "-0.17"), ("-0.34", "0.26")], (6, 6)),
     (tau_g3, ThetaChar(top=(H, Fraction(1, 4), Z), bottom=(Z, H, Fraction(2, 3))),
-     [("0.13", "0.22"), ("-0.41", "-0.08"), ("0.3", "0.15")], 6),
-], ids=["g2", "g3"])
+     [("0.13", "0.22"), ("-0.41", "-0.08"), ("0.3", "0.15")], (6, 6, 6)),
+    (tau_g4, ThetaChar(top=(Z, H, Fraction(1, 3), Z), bottom=(H, Z, Z, Fraction(1, 4))),
+     [("0.07", "0.12"), ("-0.2", "0.05"), ("0.31", "-0.1"), ("-0.12", "0.2")], (4, 4, 4, 4)),
+    (tau_long_rows, ThetaChar(top=(H, Z), bottom=(H, Fraction(1, 3))),
+     [("0.17", "0.11"), ("-0.23", "-0.06")], (26, 6)),
+], ids=["g2", "g3", "g4", "long-rows"])
 def test_theta_matches_the_series_over_a_box(tau_fn, char, z, N):
     # an absolute reference, the defining series itself: N is large enough
     # that the terms on the box surface are below 10^-(dps+5) of the scale,
@@ -76,6 +100,34 @@ def test_theta_matches_the_series_over_a_box(tau_fn, char, z, N):
         got, scale = theta_value(zv, tau, char)
         assert abs(got - want) < mp.mpf(10) ** (3 - dps) * want_scale
         assert abs(scale - want_scale) < mp.mpf(10) ** (3 - dps) * want_scale
+
+
+def tau_dense(g, rng):
+    # purely imaginary, Im tau = A A^T + 0.3 I with A seeded: a dense lattice
+    A = [[rng.uniform(-0.5, 0.5) for _ in range(g)] for _ in range(g)]
+    tau = mp.matrix(g, g)
+    for i in range(g):
+        for j in range(g):
+            tau[i, j] = mp.mpc(0, sum(A[i][k] * A[j][k] for k in range(g)) + 0.3 * (i == j))
+    return tau
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_sum_to_verdict_digits_stays_within_its_bound(g):
+    # Re tau = Re z = d'' = 0 makes every term positive, so no cancellation
+    # hides what the shorter radius leaves out, and on a dense lattice the tail
+    # bound is within a few digits of the tail: a radius one unit short of the
+    # certified one exceeds 10^-digits * scale here
+    rng = random.Random(g)
+    with mp.workdps(30):
+        tau = tau_dense(g, rng)
+        for _ in range(6):
+            char = ThetaChar.half_from_bits([rng.randrange(2) for _ in range(g)], [0] * g)
+            z = [mp.mpc(0, rng.uniform(-0.5, 0.5)) for _ in range(g)]
+            full, _ = theta_value(z, tau, char)
+            for digits in (10, 16, 26):  # 16, 26: the verdict digits at p 20, 40
+                got, scale = theta_value(z, tau, char, digits=digits)
+                assert abs(got - full) < mp.mpf(10) ** -digits * scale
 
 
 def test_genus_one_jtheta_oracle():
@@ -119,6 +171,22 @@ def test_characteristic_reduces_to_plain_shift():
         lin = dp[0] * (z[0] + dpp[0]) + dp[1] * (z[1] + dpp[1])
         factor = mp.exp(mp.pi * 1j * quad + 2 * mp.pi * 1j * lin)
         assert abs(got - factor * plain) < mp.mpf("1e-36") * (1 + abs(got))
+
+
+def quasi_period_factor(char, z, tau, m, n0):
+    """Factor relating theta at z + tau*m + n0 to theta at z:
+
+    theta[d](z + tau m + n0) = factor * theta[d](z), with
+    factor = exp(2 pi i (d'.n0 - m.(z+d'') - m.tau.m/2)).
+    """
+    g = char.genus
+    dp, dq = char.entries_mp()
+    expo = mp.mpc(0)
+    for i in range(g):
+        expo += dp[i] * n0[i] - m[i] * (mp.mpc(z[i]) + dq[i])
+        for j in range(g):
+            expo -= mp.mpf(m[i] * m[j]) * tau[i, j] / 2
+    return mp.exp(2j * mp.pi * expo)
 
 
 @pytest.mark.parametrize("m,n0", [([1, 0], [0, 0]), ([0, -1], [1, 0]), ([1, 1], [-1, 2])])
